@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark): per-operation costs of the core
 // library — Markov-table lookups, CEG_O construction, estimate extraction,
-// MOLP Dijkstra, exact counting, and WanderJoin walks. These back the
-// paper's claim that summary-based estimation latency is independent of
-// data size (§6.5), in contrast to sampling.
+// characteristic-sets star estimates, MOLP Dijkstra, exact counting, and
+// WanderJoin walks. These back the paper's claim that summary-based
+// estimation latency is independent of data size (§6.5), in contrast to
+// sampling.
 //
 // The engine-layer benchmarks at the bottom assert two EstimationEngine
 // invariants while timing them:
@@ -18,6 +19,7 @@
 #include <cmath>
 #include <filesystem>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,6 +32,7 @@
 #include "harness/workload_runner.h"
 #include "matching/matcher.h"
 #include "query/workload.h"
+#include "stats/char_sets.h"
 #include "stats/markov_table.h"
 
 namespace {
@@ -96,6 +99,41 @@ void BM_CegOBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CegOBuild);
+
+/// Characteristic-sets star estimate on imdb_like over the owned summary
+/// (mapped=0) or one attached to a copy of its flat bytes (mapped=1), for
+/// stars over the 1 or 3 labels with the most distinct sources (the widest
+/// posting runs).
+void BM_CsEstimateStar(benchmark::State& state) {
+  static const graph::Graph& g =
+      *new graph::Graph(graph::MakeDataset("imdb_like").value());
+  static const stats::CharacteristicSets& owned =
+      *new stats::CharacteristicSets(g);
+  static const std::string& bytes = *new std::string(owned.SaveArena());
+  static const stats::CharacteristicSets& mapped =
+      *new stats::CharacteristicSets(
+          stats::CharacteristicSets::AttachMapped(bytes, nullptr,
+                                                  g.num_labels())
+              .value());
+  std::vector<graph::Label> labels(g.num_labels());
+  std::iota(labels.begin(), labels.end(), 0);
+  std::stable_sort(labels.begin(), labels.end(),
+                   [](graph::Label a, graph::Label b) {
+                     return g.NumDistinctSources(a) > g.NumDistinctSources(b);
+                   });
+  labels.resize(static_cast<size_t>(state.range(1)));
+  const stats::CharacteristicSets& cs = state.range(0) != 0 ? mapped : owned;
+  (void)cs.EstimateStar(labels);  // the mapped index builds on first use
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cs.EstimateStar(labels));
+  }
+}
+BENCHMARK(BM_CsEstimateStar)
+    ->ArgNames({"mapped", "labels"})
+    ->Args({0, 1})
+    ->Args({0, 3})
+    ->Args({1, 1})
+    ->Args({1, 3});
 
 void BM_MolpEstimate(benchmark::State& state) {
   Fixture& f = Fixture::Get();

@@ -1294,7 +1294,7 @@ util::Status EstimationContext::LoadSnapshotBytes(
                   .ImportEntries(sub));
           break;
         case SnapshotSection::kCharSets: {
-          auto loaded = stats::CharacteristicSets::Load(sub);
+          auto loaded = stats::CharacteristicSets::Load(sub, g_->num_labels());
           if (!loaded.ok()) return loaded.status();
           if (loaded->num_graph_vertices() != g_->num_vertices()) {
             return util::InvalidArgumentError(
@@ -1507,7 +1507,8 @@ util::Status EstimationContext::LoadSnapshotArena(
         // Stale loads skip the whole-graph summaries, exactly like v2:
         // they describe the snapshot's epoch wholesale and rebuild lazily.
         if (stale) break;
-        auto cs = stats::CharacteristicSets::AttachMapped(payload, arena);
+        auto cs = stats::CharacteristicSets::AttachMapped(
+            payload, arena, g_->num_labels());
         if (!cs.ok()) return cs.status();
         if (cs->num_graph_vertices() != g_->num_vertices()) {
           return util::InvalidArgumentError(

@@ -1,340 +1,348 @@
 #include "stats/char_sets.h"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <span>
+#include <unordered_map>
 #include <utility>
 
 namespace cegraph::stats {
 
 namespace {
 
-// Fixed strides of the flat arena layout (see char_sets.h).
+// Fixed strides of the flat layout (see char_sets.h).
 constexpr size_t kCsHeaderBytes = 32;
 constexpr size_t kCsGroupStride = 40;
 constexpr size_t kCsEdgeStride = 16;
 
-}  // namespace
+util::Status Malformed(const char* what) {
+  return util::InvalidArgumentError(std::string("char-sets section: ") + what);
+}
 
-CharacteristicSets::CharacteristicSets(const graph::Graph& g)
-    : num_vertices_(g.num_vertices()) {
-  std::map<std::set<graph::Label>, Group> by_set;
-  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
-    std::set<graph::Label> cs;
-    for (graph::Label l = 0; l < g.num_labels(); ++l) {
-      if (g.OutDegree(v, l) > 0) cs.insert(l);
+/// A group to encode: `count` entries from `start` in the caller's parallel
+/// label, edge-label and edge-count pools.
+struct PendingGroup {
+  uint64_t vertex_count, start, count;
+};
+
+/// Writes the flat layout for `groups`, in the order given.
+std::string EncodeFlat(uint64_t num_vertices,
+                       const std::vector<PendingGroup>& groups,
+                       const std::vector<graph::Label>& labels,
+                       const std::vector<graph::Label>& edge_labels,
+                       const std::vector<uint64_t>& edges) {
+  uint64_t pairs = 0;
+  for (const PendingGroup& group : groups) pairs += group.count;
+  const size_t labels_bytes = (pairs * 4 + 7) / 8 * 8;
+  // Zero-filled, so padding is skipped, not written.
+  std::string out(kCsHeaderBytes + groups.size() * kCsGroupStride +
+                      labels_bytes + pairs * kCsEdgeStride,
+                  '\0');
+  auto put = [](char*& at, uint64_t v, size_t bytes) {
+    for (size_t i = 0; i < bytes; ++i) *at++ = static_cast<char>(v >> (8 * i));
+  };
+  char* at = out.data();
+  // labels_count and edges_count are both `pairs`: one edge per label.
+  for (uint64_t v : {num_vertices, uint64_t{groups.size()}, pairs, pairs}) {
+    put(at, v, 8);
+  }
+  uint64_t start = 0;
+  for (const PendingGroup& g : groups) {
+    for (uint64_t v : {g.vertex_count, start, g.count, start, g.count}) {
+      put(at, v, 8);
     }
-    if (cs.empty()) continue;
-    Group& group = by_set[cs];
-    group.char_set = cs;
-    ++group.vertex_count;
-    for (graph::Label l : cs) {
-      group.label_edges[l] += g.OutDegree(v, l);
+    start += g.count;
+  }
+  char* edge_at = at + labels_bytes;
+  for (const PendingGroup& group : groups) {
+    for (size_t i = group.start; i < group.start + group.count; ++i) {
+      put(at, labels[i], 4);
+      put(edge_at, edge_labels[i], 8);  // u32 label, u32 reserved (zero)
+      put(edge_at, edges[i], 8);
     }
   }
-  for (auto& [cs, group] : by_set) groups_.push_back(std::move(group));
+  return out;
+}
+
+/// Adopts freshly encoded bytes as an owned backing with its index built.
+util::StatusOr<CharacteristicSets> AttachOwned(std::string bytes,
+                                               uint32_t num_labels) {
+  auto owned = std::make_shared<const std::string>(std::move(bytes));
+  auto cs = CharacteristicSets::AttachMapped(*owned, owned, num_labels);
+  if (cs.ok()) CEGRAPH_RETURN_IF_ERROR(cs->ValidateNow());
+  return cs;
+}
+
+}  // namespace
+
+CharacteristicSets::CharacteristicSets(const graph::Graph& g) {
+  const uint32_t n = g.num_vertices();
+  // Each vertex's distinct out-labels (ascending) and out-degrees as a CSR
+  // over vertices, from two passes over the source-sorted relations.
+  std::vector<uint64_t> off(size_t{n} + 1, 0);
+  auto for_each_source = [&g](auto&& fn) {
+    for (graph::Label l = 0; l < g.num_labels(); ++l) {
+      const std::span<const graph::Edge> rel = g.RelationEdges(l);
+      for (size_t i = 0, j = 0; i < rel.size(); i = j) {
+        while (j < rel.size() && rel[j].src == rel[i].src) ++j;
+        fn(rel[i].src, l, j - i);
+      }
+    }
+  };
+  for_each_source([&](graph::VertexId v, auto...) { ++off[v + 1]; });
+  for (uint32_t v = 0; v < n; ++v) off[v + 1] += off[v];
+  std::vector<graph::Label> labels(off[n]);
+  std::vector<uint64_t> degrees(off[n]);
+  std::vector<uint64_t> fill(off.begin(), off.end() - 1);
+  for_each_source([&](graph::VertexId v, graph::Label l, size_t degree) {
+    labels[fill[v]] = l;
+    degrees[fill[v]++] = degree;
+  });
+
+  // Group vertices by their label run, keyed in place by its bytes. A
+  // group keeps its first vertex's run and sums its members' degrees there.
+  std::vector<PendingGroup> groups;
+  std::unordered_map<std::string_view, size_t> by_set;
+  for (graph::VertexId v = 0; v < n; ++v) {
+    const size_t start = off[v], count = off[v + 1] - off[v];
+    if (count == 0) continue;
+    const std::string_view key(reinterpret_cast<const char*>(&labels[start]),
+                               count * sizeof(graph::Label));
+    auto [it, fresh] = by_set.try_emplace(key, groups.size());
+    if (fresh) groups.push_back({0, start, count});
+    PendingGroup& group = groups[it->second];
+    ++group.vertex_count;
+    for (size_t i = 0; !fresh && i < count; ++i) {
+      degrees[group.start + i] += degrees[start + i];
+    }
+  }
+  // Order groups as std::set<Label> compares: lexicographically.
+  auto run = [&labels](const PendingGroup& group) {
+    return std::span(labels).subspan(group.start, group.count);
+  };
+  std::sort(groups.begin(), groups.end(), [&](const auto& a, const auto& b) {
+    return std::ranges::lexicographical_compare(run(a), run(b));
+  });
+  *this = AttachOwned(EncodeFlat(n, groups, labels, labels, degrees),
+                      g.num_labels())
+              .value();
 }
 
 void CharacteristicSets::Save(util::serde::Writer& writer) const {
   writer.WriteU32(num_vertices_);
-  if (mapped()) {
-    // Transcribe the mapped layout into the v2 shape. Group order and
-    // per-group label order are preserved, so a save-load round trip stays
-    // bit-identical to saving the owned original. Malformed group data
-    // (deferred scan failed) degrades to an empty summary.
-    if (!MappedGroupsValid()) {
-      writer.WriteU64(0);
-      return;
+  // A payload that failed the deferred scan saves as an empty summary.
+  const bool valid = Indexed() != nullptr;
+  writer.WriteU64(valid ? num_groups_ : 0);
+  for (uint64_t gi = 0; valid && gi < num_groups_; ++gi) {
+    const char* ge = bytes_.data() + kCsHeaderBytes + gi * kCsGroupStride;
+    const uint64_t set_count = util::LoadLittleU64(ge + 16);
+    // The scan checked that the edge keys mirror the char set 1:1.
+    const char* edges = bytes_.data() + edges_off_ +
+                        util::LoadLittleU64(ge + 24) * kCsEdgeStride;
+    const char* end = edges + set_count * kCsEdgeStride;
+    writer.WriteU64(set_count);
+    for (const char* e = edges; e < end; e += kCsEdgeStride) {
+      writer.WriteU32(util::LoadLittleU32(e));
     }
-    writer.WriteU64(mapped_num_groups_);
-    const char* base = mapped_.data();
-    for (uint64_t gi = 0; gi < mapped_num_groups_; ++gi) {
-      const char* ge = base + kCsHeaderBytes + gi * kCsGroupStride;
-      const uint64_t vertex_count = util::LoadLittleU64(ge);
-      const uint64_t set_start = util::LoadLittleU64(ge + 8);
-      const uint64_t set_count = util::LoadLittleU64(ge + 16);
-      const uint64_t edges_start = util::LoadLittleU64(ge + 24);
-      writer.WriteU64(set_count);
-      for (uint64_t i = 0; i < set_count; ++i) {
-        writer.WriteU32(util::LoadLittleU32(base + mapped_labels_off_ +
-                                            (set_start + i) * 4));
-      }
-      writer.WriteU64(vertex_count);
-      writer.WriteU64(set_count);  // edges mirror the char set 1:1
-      for (uint64_t i = 0; i < set_count; ++i) {
-        const char* ee =
-            base + mapped_edges_off_ + (edges_start + i) * kCsEdgeStride;
-        writer.WriteU32(util::LoadLittleU32(ee));
-        writer.WriteU64(util::LoadLittleU64(ee + 8));
-      }
-    }
-    return;
-  }
-  writer.WriteU64(groups_.size());
-  for (const Group& group : groups_) {
-    writer.WriteU64(group.char_set.size());
-    for (graph::Label l : group.char_set) writer.WriteU32(l);
-    writer.WriteU64(group.vertex_count);
-    writer.WriteU64(group.label_edges.size());
-    for (const auto& [l, edges] : group.label_edges) {
-      writer.WriteU32(l);
-      writer.WriteU64(edges);
+    writer.WriteU64(util::LoadLittleU64(ge));  // vertex_count
+    writer.WriteU64(set_count);
+    for (const char* e = edges; e < end; e += kCsEdgeStride) {
+      writer.WriteU32(util::LoadLittleU32(e));
+      writer.WriteU64(util::LoadLittleU64(e + 8));
     }
   }
 }
 
 util::StatusOr<CharacteristicSets> CharacteristicSets::Load(
-    util::serde::Reader& reader) {
-  CharacteristicSets cs;
-  auto num_vertices = reader.ReadU32();
-  if (!num_vertices.ok()) return num_vertices.status();
-  cs.num_vertices_ = *num_vertices;
-  auto num_groups = reader.ReadU64();
-  if (!num_groups.ok()) return num_groups.status();
-  for (uint64_t gi = 0; gi < *num_groups; ++gi) {
-    Group group;
-    auto set_size = reader.ReadU64();
-    if (!set_size.ok()) return set_size.status();
-    for (uint64_t i = 0; i < *set_size; ++i) {
-      auto l = reader.ReadU32();
-      if (!l.ok()) return l.status();
-      group.char_set.insert(*l);
+    util::serde::Reader& reader, uint32_t num_labels) {
+  // After the first failed read every field reads as 0 and the loops stop.
+  util::Status status;
+  auto get = [&status](auto value) -> uint64_t {
+    if (!value.ok() && status.ok()) status = value.status();
+    return value.ok() ? *value : 0;
+  };
+  const uint64_t num_vertices = get(reader.ReadU32());
+  const uint64_t num_groups = get(reader.ReadU64());
+  std::vector<PendingGroup> groups;
+  std::vector<graph::Label> labels, edge_labels;
+  std::vector<uint64_t> edges;
+  for (uint64_t gi = 0; gi < num_groups && status.ok(); ++gi) {
+    PendingGroup group{0, labels.size(), get(reader.ReadU64())};
+    for (uint64_t i = 0; i < group.count && status.ok(); ++i) {
+      labels.push_back(static_cast<graph::Label>(get(reader.ReadU32())));
     }
-    auto vertex_count = reader.ReadU64();
-    if (!vertex_count.ok()) return vertex_count.status();
-    group.vertex_count = *vertex_count;
-    auto num_edges = reader.ReadU64();
-    if (!num_edges.ok()) return num_edges.status();
-    for (uint64_t i = 0; i < *num_edges; ++i) {
-      auto l = reader.ReadU32();
-      if (!l.ok()) return l.status();
-      auto edges = reader.ReadU64();
-      if (!edges.ok()) return edges.status();
-      group.label_edges[*l] = *edges;
+    group.vertex_count = get(reader.ReadU64());
+    if (get(reader.ReadU64()) != group.count && status.ok()) {
+      status = util::InvalidArgumentError("char-set label/edge arity mismatch");
     }
-    if (group.vertex_count == 0) {
-      return util::InvalidArgumentError("characteristic-set group with no "
-                                        "vertices");
+    for (uint64_t i = 0; i < group.count && status.ok(); ++i) {
+      edge_labels.push_back(static_cast<graph::Label>(get(reader.ReadU32())));
+      edges.push_back(get(reader.ReadU64()));
     }
-    cs.groups_.push_back(std::move(group));
+    groups.push_back(group);
   }
-  return cs;
-}
-
-std::string CharacteristicSets::SaveArena() const {
-  if (mapped()) return std::string(mapped_);
-  util::serde::Writer w;
-  w.WriteU64(num_vertices_);
-  w.WriteU64(groups_.size());
-  uint64_t labels_count = 0;
-  uint64_t edges_count = 0;
-  for (const Group& group : groups_) {
-    labels_count += group.char_set.size();
-    edges_count += group.label_edges.size();
-  }
-  w.WriteU64(labels_count);
-  w.WriteU64(edges_count);
-  uint64_t set_start = 0;
-  uint64_t edges_start = 0;
-  for (const Group& group : groups_) {
-    w.WriteU64(group.vertex_count);
-    w.WriteU64(set_start);
-    w.WriteU64(group.char_set.size());
-    w.WriteU64(edges_start);
-    w.WriteU64(group.label_edges.size());
-    set_start += group.char_set.size();
-    edges_start += group.label_edges.size();
-  }
-  for (const Group& group : groups_) {
-    for (graph::Label l : group.char_set) w.WriteU32(l);
-  }
-  if (labels_count % 2 != 0) w.WriteU32(0);  // pad labels blob to 8
-  for (const Group& group : groups_) {
-    for (const auto& [l, edges] : group.label_edges) {
-      w.WriteU32(l);
-      w.WriteU32(0);  // reserved
-      w.WriteU64(edges);
-    }
-  }
-  return w.TakeBuffer();
+  if (!status.ok()) return status;
+  // The flat scan enforces the rest: non-empty groups, strictly ascending
+  // labels mirrored by the edge keys, every label below num_labels.
+  return AttachOwned(
+      EncodeFlat(num_vertices, groups, labels, edge_labels, edges), num_labels);
 }
 
 util::StatusOr<CharacteristicSets> CharacteristicSets::AttachMapped(
-    std::string_view payload, std::shared_ptr<const void> owner) {
-  auto malformed = [](const char* what) {
-    return util::InvalidArgumentError(
-        std::string("char-sets arena section: ") + what);
-  };
-  if (payload.size() < kCsHeaderBytes) return malformed("truncated header");
+    std::string_view payload, std::shared_ptr<const void> owner,
+    uint32_t num_labels) {
+  if (payload.size() < kCsHeaderBytes) return Malformed("truncated header");
   const char* base = payload.data();
   const uint64_t num_vertices = util::LoadLittleU64(base);
   const uint64_t num_groups = util::LoadLittleU64(base + 8);
   const uint64_t labels_count = util::LoadLittleU64(base + 16);
   const uint64_t edges_count = util::LoadLittleU64(base + 24);
-  if (num_vertices > 0xffffffffull) return malformed("vertex count overflow");
+  if (num_vertices > 0xffffffffull) return Malformed("vertex count overflow");
   // Sizes are recomputed bottom-up with overflow-safe division checks.
-  const size_t avail = payload.size() - kCsHeaderBytes;
-  if (num_groups > avail / kCsGroupStride) {
-    return malformed("group table exceeds payload");
+  if (num_groups > (payload.size() - kCsHeaderBytes) / kCsGroupStride) {
+    return Malformed("group table exceeds payload");
   }
   const size_t labels_off = kCsHeaderBytes + num_groups * kCsGroupStride;
   if (labels_count > (payload.size() - labels_off) / 4) {
-    return malformed("labels blob exceeds payload");
+    return Malformed("labels blob exceeds payload");
   }
-  const size_t labels_bytes = (labels_count * 4 + 7) / 8 * 8;
-  const size_t edges_off = labels_off + labels_bytes;
+  const size_t edges_off = labels_off + (labels_count * 4 + 7) / 8 * 8;
   if (edges_off > payload.size() ||
       edges_count > (payload.size() - edges_off) / kCsEdgeStride) {
-    return malformed("edges blob exceeds payload");
+    return Malformed("edges blob exceeds payload");
   }
 
   CharacteristicSets cs;
   cs.num_vertices_ = static_cast<uint32_t>(num_vertices);
-  cs.mapped_ = payload;
-  cs.mapped_owner_ = std::move(owner);
-  cs.mapped_num_groups_ = num_groups;
-  cs.mapped_labels_off_ = labels_off;
-  cs.mapped_edges_off_ = edges_off;
-  // The per-group scan is deferred to first use (see CheckMappedGroups)
-  // so an arena open pays O(1) here however many groups the graph has.
-  cs.mapped_gate_ = std::make_shared<MappedGate>();
+  cs.num_labels_ = num_labels;
+  cs.bytes_ = payload;
+  cs.owner_ = std::move(owner);
+  cs.num_groups_ = num_groups;
+  cs.labels_off_ = labels_off;
+  cs.edges_off_ = edges_off;
+  // The per-group scan and index build wait for first use (BuildIndex), so
+  // an arena open pays O(1) here however many groups the graph has.
+  cs.index_ = std::make_shared<Index>();
   return cs;
 }
 
-util::Status CharacteristicSets::CheckMappedGroups() const {
-  auto malformed = [](const char* what) {
-    return util::InvalidArgumentError(
-        std::string("char-sets arena section: ") + what);
-  };
-  const char* base = mapped_.data();
+util::Status CharacteristicSets::BuildIndex(Index& index) const {
+  const char* base = bytes_.data();
   const uint64_t labels_count = util::LoadLittleU64(base + 16);
   const uint64_t edges_count = util::LoadLittleU64(base + 24);
-  // Strict per-group label ordering and an exact 1:1 labels/edges
-  // correspondence (what the graph-scan constructor guarantees), so the
-  // mapped EstimateStar can run check-free once this scan passed.
-  for (uint64_t gi = 0; gi < mapped_num_groups_; ++gi) {
+  if (num_groups_ > 0xffffffffull) return Malformed("group count overflow");
+  // Pass 1: what the graph-scan constructor guarantees, group by group,
+  // counting each label's run.
+  index.offsets.assign(size_t{num_labels_} + 1, 0);
+  for (uint64_t gi = 0; gi < num_groups_; ++gi) {
     const char* ge = base + kCsHeaderBytes + gi * kCsGroupStride;
     const uint64_t vertex_count = util::LoadLittleU64(ge);
     const uint64_t set_start = util::LoadLittleU64(ge + 8);
     const uint64_t set_count = util::LoadLittleU64(ge + 16);
     const uint64_t edges_start = util::LoadLittleU64(ge + 24);
-    const uint64_t group_edges = util::LoadLittleU64(ge + 32);
-    if (vertex_count == 0) return malformed("group with no vertices");
-    if (set_start > labels_count || set_count > labels_count - set_start) {
-      return malformed("group label range out of bounds");
+    if (vertex_count == 0 || vertex_count > num_vertices_ ||
+        util::LoadLittleU64(ge + 32) != set_count ||
+        set_start > labels_count || set_count > labels_count - set_start ||
+        edges_start > edges_count || set_count > edges_count - edges_start) {
+      return Malformed("empty, oversized or out-of-bounds group record");
     }
-    if (edges_start > edges_count ||
-        group_edges > edges_count - edges_start) {
-      return malformed("group edge range out of bounds");
-    }
-    if (group_edges != set_count) {
-      return malformed("label/edge arity mismatch");
-    }
-    uint32_t prev = 0;
     for (uint64_t i = 0; i < set_count; ++i) {
-      const uint32_t l = util::LoadLittleU32(base + mapped_labels_off_ +
-                                             (set_start + i) * 4);
-      const uint32_t el = util::LoadLittleU32(
-          base + mapped_edges_off_ + (edges_start + i) * kCsEdgeStride);
-      if (l != el) return malformed("label/edge key mismatch");
-      if (i > 0 && l <= prev) return malformed("labels not ascending");
-      prev = l;
+      const char* at = base + labels_off_ + (set_start + i) * 4;
+      const uint32_t l = util::LoadLittleU32(at);
+      if (l != util::LoadLittleU32(base + edges_off_ +
+                                   (edges_start + i) * kCsEdgeStride) ||
+          (i > 0 && l <= util::LoadLittleU32(at - 4))) {
+        return Malformed("labels not ascending or not mirrored by edges");
+      }
+      if (l >= num_labels_) return Malformed("label out of range");
+      ++index.offsets[l + 1];
+    }
+    index.empty_star += static_cast<double>(vertex_count);
+  }
+  // Pass 2: a counting sort by label, so each run stays in group order.
+  std::partial_sum(index.offsets.begin(), index.offsets.end(),
+                   index.offsets.begin());
+  index.postings.resize(index.offsets.back());
+  std::vector<size_t> fill(index.offsets.begin(), index.offsets.end() - 1);
+  for (uint64_t gi = 0; gi < num_groups_; ++gi) {
+    const char* ge = base + kCsHeaderBytes + gi * kCsGroupStride;
+    const uint64_t vertex_count = util::LoadLittleU64(ge);
+    const char* e =
+        base + edges_off_ + util::LoadLittleU64(ge + 24) * kCsEdgeStride;
+    for (uint64_t i = 0; i < util::LoadLittleU64(ge + 16);
+         ++i, e += kCsEdgeStride) {
+      index.postings[fill[util::LoadLittleU32(e)]++] = {
+          static_cast<uint32_t>(gi), static_cast<uint32_t>(vertex_count),
+          static_cast<double>(util::LoadLittleU64(e + 8)) /
+              static_cast<double>(vertex_count)};
     }
   }
   return util::Status::OK();
 }
 
-bool CharacteristicSets::MappedGroupsValid() const {
-  if (!mapped()) return true;
-  std::call_once(mapped_gate_->once, [&] {
-    util::Status checked = CheckMappedGroups();
-    if (!checked.ok()) mapped_gate_->error = checked.ToString();
-    mapped_gate_->valid.store(checked.ok(), std::memory_order_release);
-  });
-  return mapped_gate_->valid.load(std::memory_order_acquire);
-}
-
-util::Status CharacteristicSets::ValidateNow() const {
-  if (MappedGroupsValid()) return util::Status::OK();
-  return util::InvalidArgumentError(mapped_gate_->error);
+const CharacteristicSets::Index* CharacteristicSets::Indexed() const {
+  std::call_once(index_->once, [&] { index_->status = BuildIndex(*index_); });
+  return index_->status.ok() ? index_.get() : nullptr;
 }
 
 double CharacteristicSets::EstimateStar(
     const std::vector<graph::Label>& labels) const {
-  // Count multiplicity per distinct label.
-  std::map<graph::Label, int> need;
-  for (graph::Label l : labels) ++need[l];
-
-  if (mapped()) {
-    // The mapped twin of the owned loop below: same group order, same
-    // need-map iteration, same float-op order — bit-identical estimates.
-    // A payload that fails the (deferred, latched) group scan serves as
-    // an empty summary: degraded, but never an out-of-bounds read.
-    if (!MappedGroupsValid()) return 0;
-    const char* base = mapped_.data();
-    double total = 0;
-    for (uint64_t gi = 0; gi < mapped_num_groups_; ++gi) {
-      const char* ge = base + kCsHeaderBytes + gi * kCsGroupStride;
-      const uint64_t vertex_count = util::LoadLittleU64(ge);
-      const uint64_t set_start = util::LoadLittleU64(ge + 8);
-      const uint64_t set_count = util::LoadLittleU64(ge + 16);
-      const uint64_t edges_start = util::LoadLittleU64(ge + 24);
-      // Binary search the group's sorted label array; a hit's position
-      // also indexes the 1:1 edges array (validated at attach).
-      auto find_pos = [&](graph::Label l) -> int64_t {
-        uint64_t lo = 0, hi = set_count;
-        while (lo < hi) {
-          const uint64_t mid = (lo + hi) / 2;
-          const uint32_t at = util::LoadLittleU32(
-              base + mapped_labels_off_ + (set_start + mid) * 4);
-          if (at == l) return static_cast<int64_t>(mid);
-          if (at < l) {
-            lo = mid + 1;
-          } else {
-            hi = mid;
-          }
-        }
-        return -1;
-      };
-      bool covers = true;
-      for (const auto& [l, cnt] : need) {
-        if (find_pos(l) < 0) {
-          covers = false;
-          break;
-        }
-      }
-      if (!covers) continue;
-      double contribution = static_cast<double>(vertex_count);
-      for (const auto& [l, cnt] : need) {
-        const uint64_t edges = util::LoadLittleU64(
-            base + mapped_edges_off_ +
-            (edges_start + static_cast<uint64_t>(find_pos(l))) *
-                kCsEdgeStride +
-            8);
-        const double avg = static_cast<double>(edges) /
-                           static_cast<double>(vertex_count);
-        contribution *= std::pow(avg, cnt);
-      }
+  // A payload that fails the (deferred, latched) group scan serves as an
+  // empty summary: degraded, but never an out-of-bounds read.
+  const Index* index = Indexed();
+  if (index == nullptr) return 0;
+  if (labels.empty()) return index->empty_star;
+  // One posting run per distinct label, ascending, with its multiplicity;
+  // the shortest run leads the intersection.
+  struct Run {
+    const Posting* at;
+    const Posting* end;
+    int cnt;
+  };
+  std::vector<graph::Label> sorted(labels);
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<Run> runs;
+  size_t lead = 0;
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    if (i > 0 && sorted[i] == sorted[i - 1]) {
+      ++runs.back().cnt;
+      continue;
+    }
+    if (sorted[i] >= num_labels_) return 0;  // no group has this label
+    const Posting* run = index->postings.data();
+    runs.push_back({run + index->offsets[sorted[i]],
+                    run + index->offsets[sorted[i] + 1], 1});
+    if (runs.back().end - runs.back().at < runs[lead].end - runs[lead].at) {
+      lead = runs.size() - 1;
+    }
+  }
+  double total = 0;
+  if (runs.size() == 1) {  // a single-label star: one tight loop
+    for (const Posting* p = runs[0].at; p != runs[0].end; ++p) {
+      double contribution = static_cast<double>(p->vertex_count);
+      contribution *= std::pow(p->avg, runs[0].cnt);
       total += contribution;
     }
     return total;
   }
-
-  double total = 0;
-  for (const Group& group : groups_) {
+  // The other cursors only move forward, so hits arrive in ascending group
+  // order; each hit multiplies its factors in ascending label order.
+  for (; runs[lead].at != runs[lead].end; ++runs[lead].at) {
+    const uint32_t group = runs[lead].at->group;
     bool covers = true;
-    for (const auto& [l, cnt] : need) {
-      if (!group.char_set.contains(l)) {
-        covers = false;
-        break;
-      }
+    for (size_t r = 0; r < runs.size() && covers; ++r) {
+      if (r == lead) continue;
+      Run& run = runs[r];
+      run.at = std::lower_bound(
+          run.at, run.end, group,
+          [](const Posting& p, uint32_t g) { return p.group < g; });
+      if (run.at == run.end) return total;
+      covers = run.at->group == group;
     }
     if (!covers) continue;
-    double contribution = static_cast<double>(group.vertex_count);
-    for (const auto& [l, cnt] : need) {
-      const double avg =
-          static_cast<double>(group.label_edges.at(l)) /
-          static_cast<double>(group.vertex_count);
-      contribution *= std::pow(avg, cnt);
-    }
+    double contribution = static_cast<double>(runs[lead].at->vertex_count);
+    for (const Run& run : runs) contribution *= std::pow(run.at->avg, run.cnt);
     total += contribution;
   }
   return total;

@@ -458,6 +458,50 @@ TEST(ArenaSnapshotTest, RandomMutationsNeverCrashTheLoader) {
   EXPECT_GT(rejected, 0u);  // most mutations must be caught
   std::printf("[ mutation sweep: %zu accepted, %zu rejected ]\n", accepted,
               rejected);
+
+  // Flips aimed at the char-sets label blob, half of them writing a whole
+  // 0xFFFFFFFF label into both the labels blob and the mirrored edge key.
+  // The O(1) attach accepts these; the deferred scan must degrade them to
+  // an empty summary before any label sizes or indexes the posting index.
+  auto arena = util::MappedArena::FromBytes(pristine);
+  ASSERT_TRUE(arena.ok());
+  const util::MappedArena::Section* cs_section = (*arena)->FindSection(
+      static_cast<uint32_t>(SnapshotSection::kCharSets));
+  ASSERT_NE(cs_section, nullptr);
+  const char* cs_base = pristine.data() + cs_section->offset;
+  const uint64_t num_groups = util::LoadLittleU64(cs_base + 8);
+  const uint64_t labels_count = util::LoadLittleU64(cs_base + 16);
+  ASSERT_GT(labels_count, 0u);
+  const size_t labels_at = cs_section->offset + 32 + num_groups * 40;
+  const size_t edges_at = labels_at + (labels_count * 4 + 7) / 8 * 8;
+  size_t degraded = 0;
+  for (int iter = 0; iter < 60; ++iter) {
+    std::string image = pristine;
+    const size_t pos = rng() % labels_count;
+    if (iter % 2 == 0) {
+      for (const size_t at : {labels_at + pos * 4, edges_at + pos * 16}) {
+        std::memset(&image[at], 0xFF, 4);
+      }
+    } else {
+      image[labels_at + pos * 4 + rng() % 4] ^=
+          static_cast<char>(1 + rng() % 255);
+    }
+    WriteAll(dir.File("mut.snap"), image);
+    EstimationEngine victim(g);
+    if (!victim.context().LoadSnapshot(dir.File("mut.snap")).ok()) continue;
+    const stats::CharacteristicSets& cs =
+        victim.context().characteristic_sets();
+    if (!cs.ValidateNow().ok()) {
+      ++degraded;
+      EXPECT_EQ(cs.EstimateStar({}), 0.0);
+    }
+    auto estimator = victim.Estimator("cs");
+    ASSERT_TRUE(estimator.ok());
+    for (const query::WorkloadQuery& wq : workload) {
+      (void)(*estimator)->Estimate(wq.query);
+    }
+  }
+  EXPECT_GE(degraded, 30u);  // at least every 0xFFFFFFFF write
 }
 
 TEST(ArenaSnapshotTest, ArenaShardManifestLoadsBitIdentically) {

@@ -290,7 +290,7 @@ TEST(FeedbackSnapshotTest, CorrectionsSurviveSaveLoadBitIdentically) {
   }
   ASSERT_TRUE(cold.context().SaveSnapshot(file.path()).ok());
 
-  engine::EstimationEngine warm(SmallGraph());
+  engine::EstimationEngine warm(g);
   ASSERT_TRUE(warm.context().LoadSnapshot(file.path()).ok());
   const auto a = cold.context().feedback_store().Report();
   const auto b = warm.context().feedback_store().Report();
@@ -327,7 +327,7 @@ TEST(FeedbackSnapshotTest, ArenaFormatCarriesTheFeedbackSection) {
   }
   EXPECT_TRUE(found) << "arena snapshot carries the feedback section";
 
-  engine::EstimationEngine warm(SmallGraph());
+  engine::EstimationEngine warm(g);
   ASSERT_TRUE(warm.context().LoadSnapshot(file.path()).ok());
   EXPECT_EQ(warm.context().feedback_store().class_count(), 1u);
   EXPECT_EQ(warm.context().feedback_store().Report()[0].correction,
@@ -342,7 +342,7 @@ TEST(FeedbackSnapshotTest, EmptyStoreWritesNoSectionSnapshotStaysIdentical) {
   engine::EstimationEngine a(g);
   ASSERT_TRUE(a.context().SaveSnapshot(without.path()).ok());
 
-  engine::EstimationEngine b(SmallGraph());
+  engine::EstimationEngine b(g);
   b.context().feedback_store();  // created but empty: still no section
   ASSERT_TRUE(b.context().SaveSnapshot(with_touch.path()).ok());
 
