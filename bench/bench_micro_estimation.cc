@@ -16,6 +16,7 @@
 //     construction (compare BM_SuiteColdStart vs BM_SuiteSnapshotStart).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <memory>
@@ -31,6 +32,7 @@
 #include "graph/datasets.h"
 #include "harness/workload_runner.h"
 #include "matching/matcher.h"
+#include "query/query_graph.h"
 #include "query/workload.h"
 #include "stats/char_sets.h"
 #include "stats/markov_table.h"
@@ -134,6 +136,60 @@ BENCHMARK(BM_CsEstimateStar)
     ->Args({0, 3})
     ->Args({1, 1})
     ->Args({1, 3});
+
+/// QueryGraph::CanonicalCode on fresh queries (the code is memoized per
+/// query value, so each call gets its own copy, built in batches outside
+/// the timing). Cases: the 2- and 3-vertex Markov-table keys (the most
+/// frequent callers), a 4-vertex diamond, the JOB-like 4-edge star, a
+/// 7-vertex path, and the fully symmetric worst cases: a same-label 6-leaf
+/// star and a same-label regular 7-vertex tournament.
+void BM_CanonicalCode(benchmark::State& state,
+                      std::vector<query::QueryEdge> edges) {
+  uint32_t n = 0;
+  for (const query::QueryEdge& e : edges) {
+    n = std::max({n, e.src + 1, e.dst + 1});
+  }
+  constexpr size_t kBatch = 256;
+  std::vector<query::QueryGraph> batch;
+  size_t next = kBatch;
+  for (auto _ : state) {
+    if (next == kBatch) {
+      state.PauseTiming();
+      batch.clear();
+      for (size_t i = 0; i < kBatch; ++i) {
+        batch.push_back(query::QueryGraph::Create(n, edges).value());
+      }
+      next = 0;
+      state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(batch[next++].CanonicalCode());
+  }
+}
+
+std::vector<query::QueryEdge> SameLabelTournament7() {
+  std::vector<query::QueryEdge> edges;
+  for (uint32_t v = 0; v < 7; ++v) {
+    for (uint32_t step = 1; step <= 3; ++step) {
+      edges.push_back({v, (v + step) % 7, 5});
+    }
+  }
+  return edges;
+}
+
+BENCHMARK_CAPTURE(BM_CanonicalCode, edge2, {{0, 1, 3}});
+BENCHMARK_CAPTURE(BM_CanonicalCode, path3, {{0, 1, 3}, {2, 1, 5}});
+BENCHMARK_CAPTURE(BM_CanonicalCode, diamond4,
+                  {{0, 1, 2}, {0, 2, 2}, {1, 3, 7}, {2, 3, 4}});
+BENCHMARK_CAPTURE(BM_CanonicalCode, job_star4,
+                  {{0, 1, 19}, {0, 2, 17}, {3, 0, 11}, {0, 4, 32}});
+BENCHMARK_CAPTURE(BM_CanonicalCode, path7,
+                  {{0, 1, 4}, {2, 1, 9}, {2, 3, 4}, {3, 4, 12},
+                   {5, 4, 1}, {5, 6, 4}});
+BENCHMARK_CAPTURE(BM_CanonicalCode, star6_same_label,
+                  {{0, 1, 5}, {0, 2, 5}, {0, 3, 5}, {0, 4, 5}, {0, 5, 5},
+                   {0, 6, 5}});
+BENCHMARK_CAPTURE(BM_CanonicalCode, tournament7_same_label,
+                  SameLabelTournament7());
 
 void BM_MolpEstimate(benchmark::State& state) {
   Fixture& f = Fixture::Get();

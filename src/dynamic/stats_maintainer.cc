@@ -61,7 +61,7 @@ std::vector<bool> ChangedLabelBitmap(uint32_t num_labels,
 bool CodeTouchesChangedLabel(std::string_view code,
                              const std::vector<bool>& changed,
                              uint32_t label_modulus) {
-  // Canonical codes (query::QueryGraph::CodeUnderPermutation) are a
+  // Canonical codes (query::QueryGraph::CanonicalCode) are a
   // sequence of fixed-layout edge records — one byte each for the permuted
   // src and dst vertex, then the label in decimal, then ';' — optionally
   // prefixed by "id:" (identity codes of >7-vertex patterns) and suffixed

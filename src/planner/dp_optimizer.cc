@@ -27,14 +27,8 @@ util::StatusOr<Plan> DpOptimizer::Optimize(const query::QueryGraph& q) const {
   // Estimated cardinality per connected sub-query.
   std::map<EdgeSet, double> card;
   for (EdgeSet s : subsets) {
-    if (std::popcount(s) == 1) {
-      // Single-edge scans use their exact relation size via the estimator
-      // too (every estimator is exact on single relations or close to it).
-      auto est = estimator_.Estimate(q.ExtractPattern(s));
-      if (!est.ok()) return est.status();
-      card[s] = *est;
-      continue;
-    }
+    // Single-edge scans go through the estimator too (every estimator is
+    // exact on single relations or close to it).
     auto est = estimator_.Estimate(q.ExtractPattern(s));
     if (!est.ok()) return est.status();
     card[s] = *est;

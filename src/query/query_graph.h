@@ -111,16 +111,27 @@ class QueryGraph {
                             std::vector<QVertex>* vertex_map = nullptr) const;
 
   /// A string key identifying this query up to isomorphism for patterns
-  /// with <= kCanonicalVertexLimit vertices (exact canonical form via
-  /// permutation search); beyond the limit the key is the identity form
-  /// (sorted edge list without renaming), which is sound for caching (equal
-  /// keys => isomorphic) but may miss some isomorphic pairs. The Markov
-  /// table only canonicalizes patterns of <= h+1 <= 4 vertices, well within
-  /// the exact range.
+  /// with <= kCanonicalVertexLimit vertices; beyond the limit the key is
+  /// "id:" plus the identity form (sorted edge list without renaming),
+  /// which is sound for caching (equal keys => isomorphic) but may miss
+  /// some isomorphic pairs. The Markov table only canonicalizes patterns of
+  /// <= h+1 <= 4 vertices, well within the exact range.
   ///
-  /// The permutation search is paid once per QueryGraph value: the code is
-  /// memoized (thread-safely, and shared by copies of the query), which is
-  /// what keeps repeated cache lookups — 9 optimistic estimators keying the
+  /// The exact code is the smallest, as a string, over all vertex
+  /// renumberings of: per edge sorted by (src, dst, label), one byte each
+  /// for src and dst ('0' + id), the decimal label and ';'; then, if any
+  /// vertex is constrained, '|' and per vertex its decimal label or '*',
+  /// and ','. It is found by a branch-and-bound search that gives new ids
+  /// in order, compares the fixed prefix of the code with the best complete
+  /// code as integer keys ordered like the text, and cuts a branch once
+  /// its prefix can no longer be smaller; only the winning permutation is
+  /// rendered. The string format is a persisted contract: codes key
+  /// snapshot sections (Markov, degree, dispersion, feedback), the
+  /// CegCache and the scorecard, and CodeTouchesChangedLabel parses them.
+  ///
+  /// The search is paid once per QueryGraph value: the code is memoized
+  /// (thread-safely, and shared by copies of the query), which is what
+  /// keeps repeated cache lookups — 9 optimistic estimators keying the
   /// same query into the engine's CegCache — from re-canonicalizing.
   std::string CanonicalCode() const;
 
