@@ -1,9 +1,9 @@
 // Micro-benchmarks (google-benchmark): per-operation costs of the core
 // library — Markov-table lookups, CEG_O construction, estimate extraction,
-// characteristic-sets star estimates, MOLP Dijkstra, exact counting, and
-// WanderJoin walks. These back the paper's claim that summary-based
-// estimation latency is independent of data size (§6.5), in contrast to
-// sampling.
+// characteristic-sets star estimates, join-order planning passes, MOLP
+// Dijkstra, exact counting, and WanderJoin walks. These back the paper's
+// claim that summary-based estimation latency is independent of data size
+// (§6.5), in contrast to sampling.
 //
 // The engine-layer benchmarks at the bottom assert two EstimationEngine
 // invariants while timing them:
@@ -32,6 +32,7 @@
 #include "graph/datasets.h"
 #include "harness/workload_runner.h"
 #include "matching/matcher.h"
+#include "planner/dp_optimizer.h"
 #include "query/query_graph.h"
 #include "query/workload.h"
 #include "stats/char_sets.h"
@@ -143,12 +144,16 @@ BENCHMARK(BM_CsEstimateStar)
 /// frequent callers), a 4-vertex diamond, the JOB-like 4-edge star, a
 /// 7-vertex path, and the fully symmetric worst cases: a same-label 6-leaf
 /// star and a same-label regular 7-vertex tournament.
-void BM_CanonicalCode(benchmark::State& state,
-                      std::vector<query::QueryEdge> edges) {
+query::QueryGraph QueryOf(const std::vector<query::QueryEdge>& edges) {
   uint32_t n = 0;
   for (const query::QueryEdge& e : edges) {
     n = std::max({n, e.src + 1, e.dst + 1});
   }
+  return query::QueryGraph::Create(n, edges).value();
+}
+
+void BM_CanonicalCode(benchmark::State& state,
+                      std::vector<query::QueryEdge> edges) {
   constexpr size_t kBatch = 256;
   std::vector<query::QueryGraph> batch;
   size_t next = kBatch;
@@ -157,7 +162,7 @@ void BM_CanonicalCode(benchmark::State& state,
       state.PauseTiming();
       batch.clear();
       for (size_t i = 0; i < kBatch; ++i) {
-        batch.push_back(query::QueryGraph::Create(n, edges).value());
+        batch.push_back(QueryOf(edges));
       }
       next = 0;
       state.ResumeTiming();
@@ -190,6 +195,44 @@ BENCHMARK_CAPTURE(BM_CanonicalCode, star6_same_label,
                    {0, 6, 5}});
 BENCHMARK_CAPTURE(BM_CanonicalCode, tournament7_same_label,
                   SameLabelTournament7());
+
+/// One join-order planning pass: planner::DpOptimizer over the registry's
+/// max-hop-max on epinions_like, from an empty CEG cache each iteration
+/// (the Markov table is warmed first). Cases: a JOB-like 4-edge star, a
+/// 6-leaf star, a 7-edge path and a 4-cycle with a 2-edge tail.
+void BM_PlanSubplans(benchmark::State& state,
+                     std::vector<query::QueryEdge> edges) {
+  static engine::EstimationEngine& engine =
+      *new engine::EstimationEngine(Fixture::Get().graph);
+  const query::QueryGraph q = QueryOf(edges);
+  auto estimator = engine.Estimator("max-hop-max");
+  if (!estimator.ok()) {
+    state.SkipWithError("no max-hop-max");
+    return;
+  }
+  const planner::DpOptimizer optimizer(**estimator);
+  if (!optimizer.Optimize(q).ok()) {
+    state.SkipWithError("planning failed");
+    return;
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    engine.ceg_cache().Clear();
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(optimizer.Optimize(q));
+  }
+}
+BENCHMARK_CAPTURE(BM_PlanSubplans, job_star4,
+                  {{0, 1, 19}, {0, 2, 17}, {3, 0, 11}, {0, 4, 23}});
+BENCHMARK_CAPTURE(BM_PlanSubplans, star6,
+                  {{0, 1, 3}, {0, 2, 5}, {3, 0, 3}, {0, 4, 8}, {0, 5, 5},
+                   {6, 0, 1}});
+BENCHMARK_CAPTURE(BM_PlanSubplans, path7,
+                  {{0, 1, 4}, {2, 1, 9}, {2, 3, 4}, {3, 4, 12}, {5, 4, 1},
+                   {5, 6, 4}, {6, 7, 9}});
+BENCHMARK_CAPTURE(BM_PlanSubplans, cycle4_tail2,
+                  {{0, 1, 2}, {1, 2, 7}, {3, 2, 2}, {3, 0, 5}, {3, 4, 7},
+                   {5, 4, 1}});
 
 void BM_MolpEstimate(benchmark::State& state) {
   Fixture& f = Fixture::Get();

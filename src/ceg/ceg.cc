@@ -11,24 +11,15 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
 
-uint32_t Ceg::AddNode(std::string label) {
-  labels_.push_back(std::move(label));
+uint32_t Ceg::AddNode() {
   csr_valid_ = false;
-  return static_cast<uint32_t>(labels_.size() - 1);
+  return num_nodes_++;
 }
 
-void Ceg::AddEdge(uint32_t from, uint32_t to, double weight,
-                  std::string label) {
-  Edge e;
-  e.from = from;
-  e.to = to;
-  e.log_weight = weight > 0 ? std::log2(weight) : -kInf;
-  e.label = std::move(label);
-  edges_.push_back(std::move(e));
+void Ceg::AddEdge(uint32_t from, uint32_t to, double weight) {
+  edges_.push_back({from, to, weight > 0 ? std::log2(weight) : -kInf});
   csr_valid_ = false;
 }
-
-void Ceg::ReserveNodes(uint32_t n) { labels_.reserve(n); }
 
 void Ceg::ReserveEdges(size_t n) { edges_.reserve(n); }
 
@@ -110,18 +101,19 @@ util::StatusOr<Ceg::PathAggregates> Ceg::ComputeAggregates() const {
     double max_log = -kInf;
     double sum = 0;
   };
-  std::vector<std::vector<Cell>> dp(
-      num_nodes(), std::vector<Cell>(max_hops + 1));
-  dp[source_][0] = {1, 0, 0, 1};
+  // One flat row of max_hops + 1 cells per node.
+  const size_t width = static_cast<size_t>(max_hops) + 1;
+  std::vector<Cell> dp(num_nodes() * width);
+  dp[source_ * width] = {1, 0, 0, 1};
 
   for (uint32_t v : topo) {
     for (int h = 0; h <= max_hops; ++h) {
-      const Cell& cell = dp[v][h];
+      const Cell& cell = dp[v * width + h];
       if (cell.count == 0) continue;
       if (h == max_hops) continue;
       for (uint32_t ei : OutEdges(v)) {
         const Edge& e = edges_[ei];
-        Cell& next = dp[e.to][h + 1];
+        Cell& next = dp[e.to * width + h + 1];
         next.count += cell.count;
         next.min_log = std::min(next.min_log, cell.min_log + e.log_weight);
         next.max_log = std::max(next.max_log, cell.max_log + e.log_weight);
@@ -135,7 +127,7 @@ util::StatusOr<Ceg::PathAggregates> Ceg::ComputeAggregates() const {
   out.max_log = -kInf;
   double total_sum = 0;
   for (int h = 0; h <= max_hops; ++h) {
-    const Cell& cell = dp[sink_][h];
+    const Cell& cell = dp[sink_ * width + h];
     if (cell.count == 0) continue;
     // A zero-hop "path" only exists when source == sink (degenerate CEGs
     // used in tests); report it like any other.

@@ -2,7 +2,6 @@
 #define CEGRAPH_CEG_CEG_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "util/status.h"
@@ -17,25 +16,25 @@ namespace cegraph::ceg {
 /// Weights are stored in log2 domain, so a path's log-weight is the sum of
 /// its edge log-weights, exactly as the paper sets up MOLP. A multiplicative
 /// weight of 0 maps to -infinity and is handled throughout.
+///
+/// Nodes and edges carry no text: a builder that wants to explain a CEG
+/// keeps its own typed provenance (e.g. BuiltCegO::edge_provenance) and
+/// renders it on demand.
 class Ceg {
  public:
   struct Edge {
     uint32_t from = 0;
     uint32_t to = 0;
     double log_weight = 0;   ///< log2 of the extension rate
-    std::string label;       ///< human-readable provenance (debugging)
   };
 
   /// Adds a node and returns its id.
-  uint32_t AddNode(std::string label);
+  uint32_t AddNode();
   /// Adds an edge with *multiplicative* weight (>= 0).
-  void AddEdge(uint32_t from, uint32_t to, double weight,
-               std::string label = "");
+  void AddEdge(uint32_t from, uint32_t to, double weight);
 
-  /// Capacity hints for builders that know the CEG size up front (CEG_O
-  /// knows both counts before emitting edges). Avoids re-allocation churn
-  /// during construction.
-  void ReserveNodes(uint32_t n);
+  /// Capacity hint for builders that can bound the edge count up front.
+  /// Avoids re-allocation churn during construction.
   void ReserveEdges(size_t n);
 
   void SetSource(uint32_t node) { source_ = node; }
@@ -43,10 +42,9 @@ class Ceg {
   uint32_t source() const { return source_; }
   uint32_t sink() const { return sink_; }
 
-  uint32_t num_nodes() const { return static_cast<uint32_t>(labels_.size()); }
+  uint32_t num_nodes() const { return num_nodes_; }
   size_t num_edges() const { return edges_.size(); }
   const std::vector<Edge>& edges() const { return edges_; }
-  const std::string& node_label(uint32_t node) const { return labels_[node]; }
 
   /// Contiguous view over the out-edge indices of one node in the CSR
   /// adjacency. Iterable and indexable like the vector it replaces.
@@ -144,7 +142,7 @@ class Ceg {
   /// in memory instead of one heap allocation per node.
   void EnsureCsr() const;
 
-  std::vector<std::string> labels_;
+  uint32_t num_nodes_ = 0;
   std::vector<Edge> edges_;
   uint32_t source_ = 0;
   uint32_t sink_ = 0;

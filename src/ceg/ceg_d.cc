@@ -3,7 +3,6 @@
 #include <bit>
 #include <cmath>
 #include <functional>
-#include <string>
 
 namespace cegraph::ceg {
 
@@ -76,7 +75,7 @@ util::StatusOr<BuiltCegM> BuildCegD(const query::QueryGraph& q,
 
   BuiltCegM out;
   for (VertexSet w = 0; w <= full; ++w) {
-    out.ceg.AddNode("");
+    out.ceg.AddNode();
   }
   out.ceg.SetSource(0);
   out.ceg.SetSink(full);
@@ -101,8 +100,7 @@ util::StatusOr<BuiltCegM> BuildCegD(const query::QueryGraph& q,
           if ((w1 & added) != 0) continue;
           const VertexSet w2 = w1 | a_j;
           if (w2 == w1) continue;
-          out.ceg.AddEdge(w1, w2, deg,
-                          "dbplp:rel" + std::to_string(j));
+          out.ceg.AddEdge(w1, w2, deg);
         }
       }
       if (sub == 0) break;

@@ -20,6 +20,8 @@ struct CegMOptions {
 
 /// CEG_M: one node per attribute subset (query::VertexSet); node ids equal
 /// the subset bitmask, so node_of_set[W] == W. Source = ∅, sink = A.
+/// Extension edges strictly grow the node's set, so the projection edges
+/// are exactly those whose `to` is a proper subset of their `from`.
 struct BuiltCegM {
   Ceg ceg;
 };

@@ -2,30 +2,184 @@
 
 #include <algorithm>
 #include <bit>
-#include <string>
-#include <vector>
-
-#include "query/subquery.h"
+#include <cmath>
+#include <limits>
+#include <span>
 
 namespace cegraph::ceg {
 
+using query::EdgeSet;
+
 namespace {
 
-using query::EdgeSet;
-using query::QueryGraph;
-
-std::string SubsetLabel(EdgeSet s, uint32_t num_edges) {
-  std::string label = "{";
-  for (uint32_t i = 0; i < num_edges; ++i) {
-    if (s & (EdgeSet{1} << i)) {
-      if (label.size() > 1) label += ",";
-      label += "e" + std::to_string(i);
-    }
+/// "{e0,e2}": the query edges of `s`.
+std::string SubsetText(EdgeSet s) {
+  std::string text = "{";
+  for (EdgeSet rest = s; rest != 0; rest &= rest - 1) {
+    if (text.size() > 1) text += ",";
+    text += "e" + std::to_string(std::countr_zero(rest));
   }
-  return label + "}";
+  return text + "}";
 }
 
 }  // namespace
+
+std::string EdgeText(const BuiltCegO& built, uint32_t ei) {
+  const BuiltCegO::EdgeProvenance& p = built.edge_provenance[ei];
+  if (p.kind == BuiltCegO::EdgeKind::kClosingRate) {
+    // The closing edge is the one query edge the extension adds.
+    return "closing-rate(e" +
+           std::to_string(std::countr_zero(p.pattern & ~p.intersection)) +
+           ")";
+  }
+  std::string text = "|" + SubsetText(p.pattern) + "|";
+  if (p.intersection != 0) text += "/|" + SubsetText(p.intersection) + "|";
+  return text;
+}
+
+CegOBuilder::CegOBuilder(const query::QueryGraph& q,
+                         const stats::MarkovTable& markov,
+                         const CegOOptions& options)
+    : q_(q),
+      markov_(markov),
+      options_(options),
+      subsets_(query::ConnectedSubsets(q)),
+      index_(subsets_),
+      cardinality_(subsets_.size(), std::numeric_limits<double>::quiet_NaN()),
+      cyclomatic_(subsets_.size(), -1),
+      node_of_(subsets_.size(), 0) {
+  const int h = markov.h();
+  // Candidate extension patterns: connected subsets with <= h edges.
+  std::vector<int> patterns;
+  for (size_t k = 0; k < subsets_.size(); ++k) {
+    if (std::popcount(subsets_[k]) <= h) {
+      patterns.push_back(static_cast<int>(k));
+    }
+  }
+
+  // First hops start at a full pattern; rule 1 on their size depends on
+  // the sink, so Build applies it.
+  offsets_.push_back(0);
+  for (int p : patterns) candidates_.push_back({p, p, -1, true});
+  offsets_.push_back(static_cast<uint32_t>(candidates_.size()));
+
+  for (const EdgeSet s : subsets_) {
+    for (int p : patterns) {
+      const EdgeSet e = subsets_[p];
+      const EdgeSet i = e & s;
+      if ((e & ~s) == 0) continue;  // adds nothing
+      if (i == 0) continue;  // extensions must overlap the sub-query
+      const int i_pos = index_.Find(i);
+      if (i_pos < 0) continue;  // I must be a table pattern (connected)
+      // S' = S ∪ E is connected because S and E are connected and overlap.
+      const EdgeSet target = s | e;
+      const bool size_h =
+          !options_.size_h_numerators ||
+          std::popcount(e) == std::min(h, std::popcount(target));
+      candidates_.push_back({index_.Find(target), p, i_pos, size_h});
+    }
+    offsets_.push_back(static_cast<uint32_t>(candidates_.size()));
+  }
+}
+
+util::StatusOr<double> CegOBuilder::Cardinality(int pos) {
+  double& memo = cardinality_[pos];
+  if (std::isnan(memo)) {
+    auto c = markov_.Cardinality(q_.ExtractPattern(subsets_[pos]));
+    if (!c.ok()) return c.status();
+    memo = *c;
+  }
+  return memo;
+}
+
+int CegOBuilder::Cyclomatic(int pos) {
+  int& memo = cyclomatic_[pos];
+  if (memo < 0) memo = q_.CyclomaticNumber(subsets_[pos]);
+  return memo;
+}
+
+util::StatusOr<BuiltCegO> CegOBuilder::Build(EdgeSet sink) {
+  const int sink_pos = index_.Find(sink);
+  if (sink_pos < 0) {
+    return util::InvalidArgumentError(
+        "CEG_O sink must be a connected edge subset of the query");
+  }
+  const auto inside = [sink](EdgeSet s) { return (s & ~sink) == 0; };
+  const int first_hop = std::min(markov_.h(), std::popcount(sink));
+  const bool cycle_gate =
+      options_.early_cycle_closing && Cyclomatic(sink_pos) > 0;
+
+  // Nodes: the source, then every connected subset inside the sink.
+  BuiltCegO out;
+  const uint32_t source = out.ceg.AddNode();
+  out.ceg.SetSource(source);
+  out.subset_of_node.push_back(0);
+  for (size_t k = 0; k < subsets_.size(); ++k) {
+    if (!inside(subsets_[k])) continue;
+    node_of_[k] = out.ceg.AddNode();
+    out.subset_of_node.push_back(subsets_[k]);
+  }
+  out.ceg.SetSink(node_of_[sink_pos]);
+
+  // Expand every node but the sink, the source (k = -1) first.
+  std::vector<Candidate> kept;
+  for (int k = -1; k < static_cast<int>(subsets_.size()); ++k) {
+    const EdgeSet s = k < 0 ? 0 : subsets_[k];
+    if (k == sink_pos || !inside(s)) continue;
+    const std::span<const Candidate> all(candidates_.data() + offsets_[k + 1],
+                                         candidates_.data() + offsets_[k + 2]);
+    kept.clear();
+    for (const Candidate& c : all) {
+      if (!inside(subsets_[c.pattern])) continue;
+      // Rule 1 on a first hop: the largest pattern the sink admits.
+      const bool size_h =
+          k >= 0 ? c.size_h
+                 : !options_.size_h_numerators ||
+                       std::popcount(subsets_[c.pattern]) == first_hop;
+      if (size_h) kept.push_back(c);
+    }
+    if (kept.empty()) {
+      // Relax rule 1 to any pattern size so the CEG stays connected. For
+      // a connected sink this never fires (an edge next to S plus up to
+      // h - 1 connected edges of S always qualifies); it is a guard.
+      for (const Candidate& c : all) {
+        if (inside(subsets_[c.pattern])) kept.push_back(c);
+      }
+    }
+
+    if (cycle_gate) {
+      const int s_cycles = k < 0 ? 0 : Cyclomatic(k);
+      const bool any_closing =
+          std::any_of(kept.begin(), kept.end(), [&](const Candidate& c) {
+            return Cyclomatic(c.target) > s_cycles;
+          });
+      if (any_closing) {
+        std::erase_if(kept, [&](const Candidate& c) {
+          return Cyclomatic(c.target) <= s_cycles;
+        });
+      }
+    }
+
+    for (const Candidate& c : kept) {
+      auto e_card = Cardinality(c.pattern);
+      if (!e_card.ok()) return e_card.status();
+      double weight = *e_card;
+      EdgeSet intersection = 0;
+      if (c.intersection >= 0) {
+        auto i_card = Cardinality(c.intersection);
+        if (!i_card.ok()) return i_card.status();
+        // An empty conditioning sub-query makes the full query empty too;
+        // a zero-weight edge propagates estimate 0.
+        weight = *i_card == 0 ? 0 : *e_card / *i_card;
+        intersection = subsets_[c.intersection];
+      }
+      out.ceg.AddEdge(k < 0 ? source : node_of_[k], node_of_[c.target],
+                      weight);
+      out.edge_provenance.push_back({subsets_[c.pattern], intersection});
+    }
+  }
+  return out;
+}
 
 util::StatusOr<BuiltCegO> BuildCegO(const query::QueryGraph& q,
                                     const stats::MarkovTable& markov,
@@ -33,146 +187,7 @@ util::StatusOr<BuiltCegO> BuildCegO(const query::QueryGraph& q,
   if (q.num_edges() == 0 || !q.IsConnected()) {
     return util::InvalidArgumentError("query must be non-empty and connected");
   }
-  const int h = markov.h();
-  const EdgeSet all = q.AllEdges();
-
-  // All connected subsets; CEG nodes.
-  const std::vector<EdgeSet> subsets = query::ConnectedSubsets(q);
-
-  // Candidate extension patterns: connected subsets with <= h edges.
-  std::vector<EdgeSet> patterns;
-  for (EdgeSet s : subsets) {
-    if (std::popcount(s) <= h) patterns.push_back(s);
-  }
-
-  // Per-query cache of sub-pattern cardinalities, keyed by edge subset.
-  std::unordered_map<EdgeSet, double> card;
-  auto cardinality = [&](EdgeSet s) -> util::StatusOr<double> {
-    auto it = card.find(s);
-    if (it != card.end()) return it->second;
-    auto c = markov.Cardinality(q.ExtractPattern(s));
-    if (!c.ok()) return c.status();
-    card.emplace(s, *c);
-    return *c;
-  };
-
-  BuiltCegO out;
-  out.ceg.ReserveNodes(static_cast<uint32_t>(subsets.size()) + 1);
-  // Each node is extended by at most one candidate per pattern.
-  out.ceg.ReserveEdges((subsets.size() + 1) * patterns.size());
-  const uint32_t source = out.ceg.AddNode("{}");
-  out.ceg.SetSource(source);
-  out.node_of_subset.emplace(0, source);
-  for (EdgeSet s : subsets) {
-    out.node_of_subset.emplace(s, out.ceg.AddNode(SubsetLabel(s, q.num_edges())));
-  }
-  out.ceg.SetSink(out.node_of_subset.at(all));
-
-  // Candidate edge: one extension of S by pattern E.
-  struct Candidate {
-    EdgeSet target;
-    EdgeSet pattern;      // E
-    EdgeSet intersection; // I = E ∩ S (0 for first hops)
-  };
-
-  // Expand every node (including the source as S = 0).
-  std::vector<EdgeSet> nodes_to_expand;
-  nodes_to_expand.push_back(0);
-  nodes_to_expand.insert(nodes_to_expand.end(), subsets.begin(),
-                         subsets.end());
-
-  for (EdgeSet s : nodes_to_expand) {
-    if (s == all) continue;
-    std::vector<Candidate> candidates;
-    const int s_size = std::popcount(s);
-
-    for (EdgeSet e : patterns) {
-      const EdgeSet i = e & s;
-      const EdgeSet d = e & ~s;
-      if (d == 0) continue;  // adds nothing
-      const EdgeSet target = s | e;
-      const int e_size = std::popcount(e);
-      const int target_size = std::popcount(target);
-
-      if (s == 0) {
-        // First hop: the path starts at a full pattern; rule 1 demands the
-        // largest available pattern size.
-        if (i != 0) continue;  // unreachable for s == 0, kept for clarity
-        const int required = std::min<int>(h, std::popcount(all));
-        if (options.size_h_numerators && e_size != required) continue;
-        candidates.push_back({target, e, 0});
-        continue;
-      }
-
-      if (i == 0) continue;  // extensions must overlap the sub-query
-      if (!q.IsConnectedSubset(i)) continue;  // I must be a table pattern
-      if (options.size_h_numerators) {
-        const int required = std::min<int>(h, target_size);
-        if (e_size != required) continue;
-      }
-      // S' = S ∪ E is connected because S and E are connected and overlap.
-      candidates.push_back({target, e, i});
-    }
-
-    if (candidates.empty() && s != all) {
-      // With rule 1 strict there can be corner cases (e.g. |S'| smaller
-      // than h is impossible mid-path); relax to any pattern size for this
-      // node so the CEG stays connected.
-      for (EdgeSet e : patterns) {
-        const EdgeSet i = e & s;
-        const EdgeSet d = e & ~s;
-        if (d == 0) continue;
-        if (s != 0 && (i == 0 || !q.IsConnectedSubset(i))) continue;
-        candidates.push_back({s | e, e, s == 0 ? EdgeSet{0} : i});
-      }
-    }
-
-    if (options.early_cycle_closing && !q.IsAcyclic()) {
-      const int s_cycles = s == 0 ? 0 : q.CyclomaticNumber(s);
-      bool any_closing = false;
-      for (const Candidate& c : candidates) {
-        if (q.CyclomaticNumber(c.target) > s_cycles) {
-          any_closing = true;
-          break;
-        }
-      }
-      if (any_closing) {
-        std::erase_if(candidates, [&](const Candidate& c) {
-          return q.CyclomaticNumber(c.target) <= s_cycles;
-        });
-      }
-    }
-    (void)s_size;
-
-    for (const Candidate& c : candidates) {
-      auto e_card = cardinality(c.pattern);
-      if (!e_card.ok()) return e_card.status();
-      double weight;
-      std::string label;
-      if (c.intersection == 0) {
-        weight = *e_card;
-        label = "|" + SubsetLabel(c.pattern, q.num_edges()) + "|";
-      } else {
-        auto i_card = cardinality(c.intersection);
-        if (!i_card.ok()) return i_card.status();
-        if (*i_card == 0) {
-          // The conditioning sub-query is empty: the full query is empty
-          // too; a zero-weight edge propagates estimate 0.
-          weight = 0;
-        } else {
-          weight = *e_card / *i_card;
-        }
-        label = "|" + SubsetLabel(c.pattern, q.num_edges()) + "|/|" +
-                SubsetLabel(c.intersection, q.num_edges()) + "|";
-      }
-      out.ceg.AddEdge(out.node_of_subset.at(s),
-                      out.node_of_subset.at(c.target), weight,
-                      std::move(label));
-      out.edge_provenance.push_back({c.pattern, c.intersection});
-    }
-  }
-
-  return out;
+  return CegOBuilder(q, markov, options).Build(q.AllEdges());
 }
 
 }  // namespace cegraph::ceg

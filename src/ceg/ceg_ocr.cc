@@ -19,8 +19,7 @@ using query::QVertex;
 /// If adding query edge `close` to sub-query S completes a cycle of length
 /// > h entirely contained in S ∪ {close}, returns that cycle's edge set
 /// (smallest such cycle); otherwise 0.
-EdgeSet FindClosedLongCycle(const QueryGraph& q,
-                            const std::vector<EdgeSet>& cycles, EdgeSet s,
+EdgeSet FindClosedLongCycle(const std::vector<EdgeSet>& cycles, EdgeSet s,
                             uint32_t close, int h) {
   const EdgeSet close_bit = EdgeSet{1} << close;
   EdgeSet best = 0;
@@ -35,7 +34,6 @@ EdgeSet FindClosedLongCycle(const QueryGraph& q,
       best_len = len;
     }
   }
-  (void)q;
   return best;
 }
 
@@ -91,38 +89,28 @@ util::StatusOr<BuiltCegO> BuildCegOcr(const query::QueryGraph& q,
   const std::vector<EdgeSet> cycles = query::SimpleCycles(q);
   const int h = markov.h();
 
-  // Invert the node map to recover each CEG node's edge subset.
-  std::vector<EdgeSet> subset_of_node(built->ceg.num_nodes(), 0);
-  for (const auto& [subset, node] : built->node_of_subset) {
-    subset_of_node[node] = subset;
-  }
-
   // Rebuild the CEG, rewriting weights of cycle-closing single-edge
   // extensions. (Ceg edges are immutable; we reconstruct.)
   Ceg rewritten;
-  for (uint32_t v = 0; v < built->ceg.num_nodes(); ++v) {
-    rewritten.AddNode(built->ceg.node_label(v));
-  }
+  for (uint32_t v = 0; v < built->ceg.num_nodes(); ++v) rewritten.AddNode();
   rewritten.SetSource(built->ceg.source());
   rewritten.SetSink(built->ceg.sink());
 
-  for (const Ceg::Edge& e : built->ceg.edges()) {
-    const EdgeSet s = subset_of_node[e.from];
-    const EdgeSet target = subset_of_node[e.to];
-    const EdgeSet added = target & ~s;
+  for (uint32_t ei = 0; ei < built->ceg.num_edges(); ++ei) {
+    const Ceg::Edge& e = built->ceg.edges()[ei];
+    const EdgeSet s = built->subset_of_node[e.from];
+    const EdgeSet added = built->subset_of_node[e.to] & ~s;
     double weight = std::exp2(e.log_weight);
-    std::string label = e.label;
     if (s != 0 && std::popcount(added) == 1) {
       const uint32_t close =
           static_cast<uint32_t>(std::countr_zero(added));
-      const EdgeSet cycle = FindClosedLongCycle(q, cycles, s, close, h);
+      const EdgeSet cycle = FindClosedLongCycle(cycles, s, close, h);
       if (cycle != 0) {
-        const stats::ClosingKey key = MakeClosingKey(q, cycle, close);
-        weight = rates.Rate(key);
-        label = "closing-rate(e" + std::to_string(close) + ")";
+        weight = rates.Rate(MakeClosingKey(q, cycle, close));
+        built->edge_provenance[ei].kind = BuiltCegO::EdgeKind::kClosingRate;
       }
     }
-    rewritten.AddEdge(e.from, e.to, weight, std::move(label));
+    rewritten.AddEdge(e.from, e.to, weight);
   }
 
   built->ceg = std::move(rewritten);

@@ -24,7 +24,7 @@ namespace cegraph::engine {
 ///
 /// Entries are keyed by the query's *canonical* code, so isomorphic queries
 /// across a workload share one build (CEG weights are pattern cardinalities,
-/// which are isomorphism-invariant). The flip side: `built.node_of_subset`
+/// which are isomorphism-invariant). The flip side: `built.subset_of_node`
 /// and `built.edge_provenance` are numbered in the *representative* query's
 /// edge order — consumers that need per-edge provenance for a specific
 /// query must map through an isomorphism, while aggregate/path-weight
@@ -41,6 +41,12 @@ struct CachedCeg {
 /// code, CEG kind, Markov h, construction-rule bits). Entries are immutable
 /// after insert (the CEG is finalized so traversals are pure reads) and
 /// shared via shared_ptr, so readers never block builders.
+///
+/// Only whole-query estimates come through here. Sub-plan estimates
+/// (CardinalityEstimator::EstimateSubplans, which DpOptimizer calls) of
+/// the CEG_O specs bypass the cache: they build every sub-plan's CEG from
+/// one per-query ceg::CegOBuilder, which is cheaper than a canonical code
+/// and a lookup per sub-plan, and they leave the cache's size unchanged.
 ///
 /// For the dynamic layer every entry records the distinct edge labels of
 /// its query and whether it is an OCR build, so EvictAffected can drop

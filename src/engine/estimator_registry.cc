@@ -21,47 +21,44 @@ namespace {
 /// An optimistic estimator whose per-query CEG build goes through the
 /// context's CegCache: nine specs over the same (query, CEG kind) pay for
 /// one BuildCegO/BuildCegOcr + ComputeAggregates between them, instead of
-/// nine. Semantically identical to OptimisticEstimator::Estimate.
-class CachedOptimisticEstimator : public CardinalityEstimator {
+/// nine. Semantically identical to OptimisticEstimator::Estimate. Sub-plan
+/// estimates (EstimateSubplans) are OptimisticEstimator's and bypass the
+/// cache.
+class CachedOptimisticEstimator : public OptimisticEstimator {
  public:
   // The shared structures are resolved once here (the context outlives
   // the estimator by contract), so Estimate never touches the context
   // mutex on the hot path.
   CachedOptimisticEstimator(const EstimationContext& context,
                             OptimisticSpec spec)
-      : graph_(context.graph()),
-        markov_(context.markov()),
-        rates_(spec.ceg_kind == OptimisticCeg::kCegOcr
-                   ? &context.cycle_closing_rates()
-                   : nullptr),
-        cache_(context.ceg_cache()),
-        spec_(spec) {
-    spec_.ceg_options = context.options().ceg_options;
-  }
-
-  std::string name() const override { return SpecName(spec_); }
+      : OptimisticEstimator(context.markov(),
+                            WithOptions(spec, context.options().ceg_options),
+                            spec.ceg_kind == OptimisticCeg::kCegOcr
+                                ? &context.cycle_closing_rates()
+                                : nullptr),
+        cache_(context.ceg_cache()) {}
 
   util::StatusOr<double> Estimate(const query::QueryGraph& q) const override {
     if (q.num_edges() == 0 || !q.IsConnected()) {
       return util::InvalidArgumentError(
           "query must be non-empty and connected");
     }
-    if (AnyEmptyRelation(graph_, q)) return 0.0;
-    auto entry =
-        cache_.GetOrBuild(q, markov_, spec_.ceg_kind, rates_,
-                          spec_.ceg_options);
+    if (AnyEmptyRelation(markov().graph(), q)) return 0.0;
+    auto entry = cache_.GetOrBuild(q, markov(), spec().ceg_kind, rates(),
+                                   spec().ceg_options);
     if (!entry.ok()) return entry.status();
     if (!(*entry)->aggregates_ok) return (*entry)->aggregates_status;
-    return OptimisticEstimator::EstimateFromAggregates((*entry)->aggregates,
-                                                       spec_);
+    return EstimateFromAggregates((*entry)->aggregates, spec());
   }
 
  private:
-  const graph::Graph& graph_;
-  const stats::MarkovTable& markov_;
-  const stats::CycleClosingRates* rates_;
+  static OptimisticSpec WithOptions(OptimisticSpec spec,
+                                    const ceg::CegOOptions& options) {
+    spec.ceg_options = options;
+    return spec;
+  }
+
   CegCache& cache_;
-  OptimisticSpec spec_;
 };
 
 bool ParseWanderJoinName(const std::string& name, double* ratio) {

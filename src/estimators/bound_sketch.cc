@@ -64,11 +64,8 @@ util::StatusOr<VertexSet> BoundSketchEstimator::PartitionAttributes(
     auto path = built->ceg.BestPath(ceg::Ceg::HopMode::kMaxHop,
                                     /*maximize=*/true);
     if (!path.ok()) return path.status();
-    // Invert the node map to recover subsets along the path.
-    std::vector<query::EdgeSet> subset_of_node(built->ceg.num_nodes(), 0);
-    for (const auto& [subset, node] : built->node_of_subset) {
-      subset_of_node[node] = subset;
-    }
+    const std::vector<query::EdgeSet>& subset_of_node =
+        built->subset_of_node;
     for (size_t i = 0; i < path->edge_indices.size(); ++i) {
       const ceg::Ceg::Edge& e = built->ceg.edges()[path->edge_indices[i]];
       const VertexSet before = q.VerticesOf(subset_of_node[e.from]);

@@ -1,7 +1,9 @@
 #ifndef CEGRAPH_ESTIMATORS_ESTIMATOR_H_
 #define CEGRAPH_ESTIMATORS_ESTIMATOR_H_
 
+#include <span>
 #include <string>
+#include <vector>
 
 #include "query/query_graph.h"
 #include "util/status.h"
@@ -31,6 +33,18 @@ class CardinalityEstimator {
   /// estimator can still be run with a serial WorkloadRunner.
   virtual util::StatusOr<double> Estimate(
       const query::QueryGraph& q) const = 0;
+
+  /// Estimates every sub-plan of `q` a join optimizer asks about: entry i
+  /// of the result is the estimate of the sub-query induced by edge subset
+  /// `subsets[i]` (aligned with `subsets`, which are connected edge subsets
+  /// of q), and equals Estimate(q.ExtractPattern(subsets[i])) bit for bit.
+  /// Fails if any of those estimates fails. The default makes exactly
+  /// those calls; estimators that can share work across the sub-plans of
+  /// one query (the CEG_O optimistic ones) override it. Like Estimate, it
+  /// must be safe for concurrent calls.
+  virtual util::StatusOr<std::vector<double>> EstimateSubplans(
+      const query::QueryGraph& q,
+      std::span<const query::EdgeSet> subsets) const;
 };
 
 /// Convenience: true iff every relation referenced by `q` is non-empty in

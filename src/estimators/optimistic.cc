@@ -1,5 +1,6 @@
 #include "estimators/optimistic.h"
 
+#include <bit>
 #include <cmath>
 
 namespace cegraph {
@@ -100,6 +101,42 @@ util::StatusOr<double> OptimisticEstimator::Estimate(
   auto aggregates = built->ceg.ComputeAggregates();
   if (!aggregates.ok()) return aggregates.status();
   return EstimateFromAggregates(*aggregates, spec_);
+}
+
+util::StatusOr<std::vector<double>> OptimisticEstimator::EstimateSubplans(
+    const query::QueryGraph& q,
+    std::span<const query::EdgeSet> subsets) const {
+  if (spec_.ceg_kind != OptimisticCeg::kCegO) {
+    return CardinalityEstimator::EstimateSubplans(q, subsets);
+  }
+  const graph::Graph& g = markov_.graph();
+  ceg::CegOBuilder builder(q, markov_, spec_.ceg_options);
+  std::vector<double> out;
+  out.reserve(subsets.size());
+  for (const query::EdgeSet s : subsets) {
+    if ((s & ~q.AllEdges()) != 0 || !q.IsConnectedSubset(s)) {
+      return util::InvalidArgumentError(
+          "sub-plan must be a connected edge subset of the query");
+    }
+    bool empty_relation = false;
+    for (query::EdgeSet rest = s; rest != 0 && !empty_relation;
+         rest &= rest - 1) {
+      const graph::Label label = q.edge(std::countr_zero(rest)).label;
+      empty_relation = g.RelationSize(label) == 0;
+    }
+    if (empty_relation) {
+      out.push_back(0.0);
+      continue;
+    }
+    auto built = builder.Build(s);
+    if (!built.ok()) return built.status();
+    auto aggregates = built->ceg.ComputeAggregates();
+    if (!aggregates.ok()) return aggregates.status();
+    auto estimate = EstimateFromAggregates(*aggregates, spec_);
+    if (!estimate.ok()) return estimate.status();
+    out.push_back(*estimate);
+  }
+  return out;
 }
 
 }  // namespace cegraph

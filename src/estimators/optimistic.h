@@ -53,6 +53,15 @@ class OptimisticEstimator : public CardinalityEstimator {
 
   util::StatusOr<double> Estimate(const query::QueryGraph& q) const override;
 
+  /// On CEG_O, one ceg::CegOBuilder for `q` and one CEG per sub-plan, with
+  /// no extraction, canonical code or cache traffic; each estimate equals
+  /// a cold Estimate of the extracted sub-query bit for bit (a sub-plan
+  /// over an empty relation is exactly 0). CEG_OCR specs keep the
+  /// per-subset default.
+  util::StatusOr<std::vector<double>> EstimateSubplans(
+      const query::QueryGraph& q,
+      std::span<const query::EdgeSet> subsets) const override;
+
   /// Builds the spec's CEG for `q` (shared by Estimate, the P* oracle and
   /// the bound sketch).
   util::StatusOr<ceg::BuiltCegO> BuildCeg(const query::QueryGraph& q) const;
@@ -60,6 +69,11 @@ class OptimisticEstimator : public CardinalityEstimator {
   /// Reduces precomputed path aggregates to the spec's estimate.
   static util::StatusOr<double> EstimateFromAggregates(
       const ceg::Ceg::PathAggregates& aggregates, const OptimisticSpec& spec);
+
+ protected:
+  const stats::MarkovTable& markov() const { return markov_; }
+  const OptimisticSpec& spec() const { return spec_; }
+  const stats::CycleClosingRates* rates() const { return rates_; }
 
  private:
   const stats::MarkovTable& markov_;

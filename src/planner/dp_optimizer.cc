@@ -1,9 +1,7 @@
 #include "planner/dp_optimizer.h"
 
 #include <bit>
-#include <functional>
 #include <limits>
-#include <map>
 
 #include "query/subquery.h"
 
@@ -15,6 +13,32 @@ using query::EdgeSet;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// The cheapest way found to compute one connected sub-query.
+struct Best {
+  double cost = kInf;
+  EdgeSet left = 0;  // 0 => leaf
+};
+
+/// Appends the plan subtree of `s` (post-order, left child first) and
+/// returns its node index.
+int Materialize(EdgeSet s, const query::SubsetIndex& index,
+                const std::vector<double>& card, const std::vector<Best>& best,
+                Plan& plan) {
+  const int pos = index.Find(s);
+  PlanNode node;
+  node.subquery = s;
+  node.estimated_cardinality = card[pos];
+  const EdgeSet left = best[pos].left;
+  if (left == 0) {
+    node.scan_edge = static_cast<uint32_t>(std::countr_zero(s));
+  } else {
+    node.left = Materialize(left, index, card, best, plan);
+    node.right = Materialize(s & ~left, index, card, best, plan);
+  }
+  plan.nodes.push_back(node);
+  return static_cast<int>(plan.nodes.size() - 1);
+}
+
 }  // namespace
 
 util::StatusOr<Plan> DpOptimizer::Optimize(const query::QueryGraph& q) const {
@@ -22,27 +46,22 @@ util::StatusOr<Plan> DpOptimizer::Optimize(const query::QueryGraph& q) const {
     return util::InvalidArgumentError("query must be non-empty and connected");
   }
 
+  // Estimated cardinality per connected sub-query, in one call so the
+  // estimator can share work across them. Single-edge scans go through
+  // the estimator too (every estimator is exact on single relations or
+  // close to it).
   const std::vector<EdgeSet> subsets = query::ConnectedSubsets(q);
+  auto card = estimator_.EstimateSubplans(q, subsets);
+  if (!card.ok()) return card.status();
+  const query::SubsetIndex index(subsets);
 
-  // Estimated cardinality per connected sub-query.
-  std::map<EdgeSet, double> card;
-  for (EdgeSet s : subsets) {
-    // Single-edge scans go through the estimator too (every estimator is
-    // exact on single relations or close to it).
-    auto est = estimator_.Estimate(q.ExtractPattern(s));
-    if (!est.ok()) return est.status();
-    card[s] = *est;
-  }
-
-  struct Best {
-    double cost = kInf;
-    EdgeSet left = 0;  // 0 => leaf
-  };
-  std::map<EdgeSet, Best> best;
-
-  for (EdgeSet s : subsets) {
+  // Subsets come smallest first, so both halves of a split are final
+  // before the subset itself.
+  std::vector<Best> best(subsets.size());
+  for (size_t pos = 0; pos < subsets.size(); ++pos) {
+    const EdgeSet s = subsets[pos];
     if (std::popcount(s) == 1) {
-      best[s] = {0.0, 0};
+      best[pos] = {0.0, 0};
       continue;
     }
     Best b;
@@ -51,10 +70,11 @@ util::StatusOr<Plan> DpOptimizer::Optimize(const query::QueryGraph& q) const {
     for (EdgeSet s1 = (s - 1) & s; s1 != 0; s1 = (s1 - 1) & s) {
       const EdgeSet s2 = s & ~s1;
       if (s1 > s2) continue;  // symmetric split: visit once
-      auto it1 = best.find(s1);
-      auto it2 = best.find(s2);
-      if (it1 == best.end() || it2 == best.end()) continue;
-      const double cost = it1->second.cost + it2->second.cost + card[s];
+      const int p1 = index.Find(s1);
+      if (p1 < 0) continue;
+      const int p2 = index.Find(s2);
+      if (p2 < 0) continue;
+      const double cost = best[p1].cost + best[p2].cost + (*card)[pos];
       if (cost < b.cost) {
         b.cost = cost;
         b.left = s1;
@@ -63,33 +83,12 @@ util::StatusOr<Plan> DpOptimizer::Optimize(const query::QueryGraph& q) const {
     if (b.left == 0) {
       return util::InternalError("no connected split found");
     }
-    best[s] = b;
+    best[pos] = b;
   }
 
-  // Materialize the plan tree.
   Plan plan;
-  std::map<EdgeSet, int> node_of;
-  // Recursive build via explicit stack (post-order).
-  std::function<int(EdgeSet)> build = [&](EdgeSet s) -> int {
-    auto it = node_of.find(s);
-    if (it != node_of.end()) return it->second;
-    PlanNode node;
-    node.subquery = s;
-    node.estimated_cardinality = card[s];
-    const Best& b = best[s];
-    if (b.left == 0) {
-      node.scan_edge = static_cast<uint32_t>(std::countr_zero(s));
-    } else {
-      node.left = build(b.left);
-      node.right = build(s & ~b.left);
-    }
-    plan.nodes.push_back(node);
-    const int id = static_cast<int>(plan.nodes.size() - 1);
-    node_of[s] = id;
-    return id;
-  };
-  plan.root = build(q.AllEdges());
-  plan.estimated_cost = best[q.AllEdges()].cost;
+  plan.root = Materialize(q.AllEdges(), index, *card, best, plan);
+  plan.estimated_cost = best[index.Find(q.AllEdges())].cost;
   return plan;
 }
 

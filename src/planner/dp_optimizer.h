@@ -33,6 +33,12 @@ struct Plan {
 /// programming-based join optimizer"). The cost of a plan is the sum of
 /// estimated intermediate-result cardinalities (C_out), so different
 /// estimators produce different join orders.
+///
+/// Optimize makes one CardinalityEstimator::EstimateSubplans call per
+/// query, over every connected sub-query, so an estimator that shares work
+/// across sub-plans (the CEG_O optimistic ones build their query-level
+/// scaffolding once) plans faster. The DP tables are flat vectors aligned
+/// with query::ConnectedSubsets, looked up through one query::SubsetIndex.
 class DpOptimizer {
  public:
   explicit DpOptimizer(const CardinalityEstimator& estimator)

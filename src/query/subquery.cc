@@ -25,6 +25,20 @@ std::vector<EdgeSet> ConnectedSubsets(const QueryGraph& q, int max_edges) {
   return out;
 }
 
+SubsetIndex::SubsetIndex(std::span<const EdgeSet> subsets) {
+  int bits = 1;
+  while ((size_t{1} << bits) < 2 * subsets.size()) ++bits;
+  slots_.resize(size_t{1} << bits);
+  mask_ = static_cast<uint32_t>(slots_.size() - 1);
+  shift_ = 32 - bits;
+  for (size_t pos = 0; pos < subsets.size(); ++pos) {
+    const EdgeSet s = subsets[pos];
+    uint32_t slot = (s * 0x9E3779B1u) >> shift_;
+    while (slots_[slot].key != 0) slot = (slot + 1) & mask_;
+    slots_[slot] = {s, static_cast<int>(pos)};
+  }
+}
+
 std::vector<EdgeSet> ConnectedSubsetsOfSize(const QueryGraph& q, int k) {
   std::vector<EdgeSet> all = ConnectedSubsets(q, k);
   std::vector<EdgeSet> out;

@@ -1,6 +1,8 @@
 #ifndef CEGRAPH_QUERY_SUBQUERY_H_
 #define CEGRAPH_QUERY_SUBQUERY_H_
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "query/query_graph.h"
@@ -12,6 +14,32 @@ namespace cegraph::query {
 /// popcount then value, so smaller sub-queries come first. These subsets are
 /// exactly the vertices of the paper's CEG_O (§4.2).
 std::vector<EdgeSet> ConnectedSubsets(const QueryGraph& q, int max_edges = -1);
+
+/// Position lookup over a list of distinct non-empty edge subsets, such as
+/// ConnectedSubsets' result: an open-addressing table at most half full,
+/// so a hit or a miss costs a few probes and no allocation.
+class SubsetIndex {
+ public:
+  explicit SubsetIndex(std::span<const EdgeSet> subsets);
+
+  /// Position of `s` in the list, or -1 if it is not there.
+  int Find(EdgeSet s) const {
+    for (uint32_t slot = (s * 0x9E3779B1u) >> shift_;;
+         slot = (slot + 1) & mask_) {
+      if (slots_[slot].key == s) return slots_[slot].pos;
+      if (slots_[slot].key == 0) return -1;
+    }
+  }
+
+ private:
+  struct Slot {
+    EdgeSet key = 0;  ///< 0 marks an empty slot
+    int pos = -1;
+  };
+  std::vector<Slot> slots_;
+  uint32_t mask_ = 0;
+  int shift_ = 0;
+};
 
 /// Enumerates the connected subsets of size exactly `k`.
 std::vector<EdgeSet> ConnectedSubsetsOfSize(const QueryGraph& q, int k);

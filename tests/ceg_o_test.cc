@@ -193,11 +193,12 @@ TEST(CegOcrTest, RewritesClosingEdgeWeights) {
   ASSERT_TRUE(ocr_agg.ok());
   EXPECT_LT(ocr_agg->max_log, plain_agg->max_log);
 
-  // Some edge labels must record the rewrite.
+  // Some edges must be marked as rewritten, and render as such.
   bool found_rewrite = false;
-  for (const auto& e : ocr->ceg.edges()) {
-    if (e.label.find("closing-rate") != std::string::npos) {
+  for (uint32_t ei = 0; ei < ocr->ceg.num_edges(); ++ei) {
+    if (ocr->edge_provenance[ei].kind == BuiltCegO::EdgeKind::kClosingRate) {
       found_rewrite = true;
+      EXPECT_EQ(EdgeText(*ocr, ei).rfind("closing-rate(e", 0), 0u);
     }
   }
   EXPECT_TRUE(found_rewrite);

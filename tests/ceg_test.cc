@@ -11,11 +11,11 @@ namespace {
 /// plus a long path src -> a -> c -> sink (a->c 1, c->sink 10).
 Ceg MakeDiamond() {
   Ceg ceg;
-  const uint32_t src = ceg.AddNode("src");
-  const uint32_t a = ceg.AddNode("a");
-  const uint32_t b = ceg.AddNode("b");
-  const uint32_t c = ceg.AddNode("c");
-  const uint32_t sink = ceg.AddNode("sink");
+  const uint32_t src = ceg.AddNode();
+  const uint32_t a = ceg.AddNode();
+  const uint32_t b = ceg.AddNode();
+  const uint32_t c = ceg.AddNode();
+  const uint32_t sink = ceg.AddNode();
   ceg.SetSource(src);
   ceg.SetSink(sink);
   ceg.AddEdge(src, a, 2);
@@ -117,8 +117,8 @@ TEST(CegTest, BestPathAllHopsMax) {
 
 TEST(CegTest, IsDagDetectsCycle) {
   Ceg ceg;
-  const uint32_t a = ceg.AddNode("a");
-  const uint32_t b = ceg.AddNode("b");
+  const uint32_t a = ceg.AddNode();
+  const uint32_t b = ceg.AddNode();
   ceg.AddEdge(a, b, 1);
   EXPECT_TRUE(ceg.IsDag());
   ceg.AddEdge(b, a, 1);
@@ -127,8 +127,8 @@ TEST(CegTest, IsDagDetectsCycle) {
 
 TEST(CegTest, AggregatesFailOnCyclicCeg) {
   Ceg ceg;
-  const uint32_t a = ceg.AddNode("a");
-  const uint32_t b = ceg.AddNode("b");
+  const uint32_t a = ceg.AddNode();
+  const uint32_t b = ceg.AddNode();
   ceg.AddEdge(a, b, 2);
   ceg.AddEdge(b, a, 2);
   ceg.SetSource(a);
@@ -138,9 +138,9 @@ TEST(CegTest, AggregatesFailOnCyclicCeg) {
 
 TEST(CegTest, DijkstraWorksWithCycles) {
   Ceg ceg;
-  const uint32_t a = ceg.AddNode("a");
-  const uint32_t b = ceg.AddNode("b");
-  const uint32_t c = ceg.AddNode("c");
+  const uint32_t a = ceg.AddNode();
+  const uint32_t b = ceg.AddNode();
+  const uint32_t c = ceg.AddNode();
   ceg.AddEdge(a, b, 4);
   ceg.AddEdge(b, a, 1);  // cycle back (weight 1 = log 0)
   ceg.AddEdge(b, c, 2);
@@ -154,8 +154,8 @@ TEST(CegTest, DijkstraWorksWithCycles) {
 
 TEST(CegTest, UnreachableSink) {
   Ceg ceg;
-  const uint32_t a = ceg.AddNode("a");
-  const uint32_t b = ceg.AddNode("b");
+  const uint32_t a = ceg.AddNode();
+  const uint32_t b = ceg.AddNode();
   ceg.SetSource(a);
   ceg.SetSink(b);
   auto agg = ceg.ComputeAggregates();
@@ -170,8 +170,8 @@ TEST(CegTest, UnreachableSink) {
 
 TEST(CegTest, ZeroWeightEdgePropagates) {
   Ceg ceg;
-  const uint32_t a = ceg.AddNode("a");
-  const uint32_t b = ceg.AddNode("b");
+  const uint32_t a = ceg.AddNode();
+  const uint32_t b = ceg.AddNode();
   ceg.AddEdge(a, b, 0.0);
   ceg.SetSource(a);
   ceg.SetSink(b);
@@ -184,8 +184,8 @@ TEST(CegTest, ZeroWeightEdgePropagates) {
 
 TEST(CegTest, ParallelEdgesCountAsDistinctPaths) {
   Ceg ceg;
-  const uint32_t a = ceg.AddNode("a");
-  const uint32_t b = ceg.AddNode("b");
+  const uint32_t a = ceg.AddNode();
+  const uint32_t b = ceg.AddNode();
   ceg.AddEdge(a, b, 2);
   ceg.AddEdge(a, b, 8);
   ceg.SetSource(a);

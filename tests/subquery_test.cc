@@ -39,6 +39,25 @@ TEST(ConnectedSubsetsTest, SortedBySize) {
   }
 }
 
+TEST(SubsetIndexTest, FindsEveryPositionAndNothingElse) {
+  for (int k : {0, 1, 3, 7}) {
+    const QueryGraph q = k == 0 ? PathShape(1) : StarShape(k);
+    std::vector<EdgeSet> subsets = ConnectedSubsets(q);
+    if (k == 0) subsets.clear();
+    const SubsetIndex index(subsets);
+    for (size_t pos = 0; pos < subsets.size(); ++pos) {
+      EXPECT_EQ(index.Find(subsets[pos]), static_cast<int>(pos));
+    }
+    EXPECT_EQ(index.Find(0), -1);
+    EXPECT_EQ(index.Find(EdgeSet{1} << 20), -1);
+  }
+  // A path's non-contiguous subsets are absent.
+  const std::vector<EdgeSet> path = ConnectedSubsets(PathShape(4));
+  const SubsetIndex index(path);
+  EXPECT_EQ(index.Find(0b101), -1);
+  EXPECT_EQ(index.Find(0b1011), -1);
+}
+
 TEST(ConnectedSubsetsOfSizeTest, TriangleSizeTwo) {
   QueryGraph q = CycleShape(3);
   EXPECT_EQ(ConnectedSubsetsOfSize(q, 2).size(), 3u);
