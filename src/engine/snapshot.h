@@ -11,49 +11,15 @@
 
 namespace cegraph::engine {
 
-/// The summary-snapshot file format (versions 1 and 2), written by
-/// EstimationContext::SaveSnapshot and the `cegraph_stats` CLI. All
-/// integers are little-endian (util::serde):
-///
-///   magic            8 bytes, "CEGSNAP1"
-///   version          u32 (1 or 2)
-///   fingerprint      u32 num_vertices, u32 num_labels,
-///                    u32 num_vertex_labels, u64 num_edges, u64 edge_hash
-///                    — the *base* graph's fingerprint
-///   options          SnapshotOptions (see below)
-///   section_count    u32
-///   sections         section_count × { u32 id, u64 payload_bytes, payload }
-///
-/// Section payloads are produced by each statistics structure's own
-/// ExportEntries/Save; unknown section ids are skipped on load, so newer
-/// writers stay readable by older readers. Loads are double-guarded: the
-/// fingerprint ties a snapshot to the exact graph it was built from, and
-/// the options block ties it to the construction knobs that shape the
-/// stored statistics' *values* — entries computed under a different
-/// materialize cap, bucket count or sampling setup would load cleanly but
-/// answer wrongly, so those are rejected too.
-///
-/// Version 2 (dynamic layer): a context that has applied edge deltas
-/// stamps a kDynamicState section carrying its (delta-log hash, epoch,
-/// current-graph fingerprint) plus a kDeltaLog section with the net replay
-/// log, and bumps the version, because the stored statistics then describe
-/// the *post-delta* graph while the header still carries the base
-/// fingerprint — a version-1 reader must reject such a file rather than
-/// load it against the pristine base. The embedded log makes the artifact
-/// self-contained: a consumer holding only the base graph replays it
-/// (ReadSnapshotDeltaLog + EstimationContext::ApplyDeltas) to reconstruct
-/// the exact graph state the statistics describe, then loads fresh.
-/// Contexts at epoch 0 keep writing version 1.
-///
-/// Version 3 (arena layout): a different *container* — the mmap-able
-/// arena of util/arena.h (magic "CEGARNA1", 8-byte-aligned sections, an
-/// explicit offset table) — carrying the same logical sections, re-encoded
-/// to be usable in place after mmap:
+/// The summary-snapshot file format, written by
+/// EstimationContext::SaveSnapshot and the `cegraph_stats` CLI: the
+/// mmap-able arena container of util/arena.h (magic "CEGARNA1", 8-byte-
+/// aligned sections, an explicit offset table), whose sections are usable
+/// in place after mmap. Integers are little-endian.
 ///
 ///   kArenaMeta      serde: u32 snapshot_version (3), base fingerprint,
 ///                   options, u64 delta_hash, u64 epoch, current
-///                   fingerprint (the v1/v2 header + kDynamicState folded
-///                   into one section)
+///                   fingerprint
 ///   kMarkov         u32 h, u32 pad, then an ArenaIndexBuilder payload
 ///                   (key = canonical code, value = f64 cardinality);
 ///                   one section per table size h
@@ -62,24 +28,44 @@ namespace cegraph::engine {
 ///                   value = DegreeMap) — the base-relation maps
 ///   kDegreeJoins    index payload (key = canonical code, value =
 ///                   u8 has_stats + QueryGraph + DegreeMap + f64) — the
-///                   materialized two-join statistics (v1/v2 pack both
-///                   catalogs into one kDegreeCatalog payload; the arena
-///                   keeps two indexes so either probes in place)
+///                   materialized two-join statistics
+///   kDispersion     index payload (key = marked canonical code, value =
+///                   3 x f64)
 ///   kCharSets       CharacteristicSets::SaveArena flat layout
-///   kSummaryGraph   the v2 SummaryGraph::Save bytes (parsed on load; the
+///   kSummaryGraph   SummaryGraph::Save bytes (parsed on first use; the
 ///                   summary is small and its bucket tables are rebuilt
 ///                   into pointers anyway)
-///   kDeltaLog       the v2 payload, verbatim
+///   kFeedback       learn::FeedbackStore::Serialize bytes
+///   kDeltaLog       u64 count + count x { u8 op, u32 src, u32 dst,
+///                   u32 label }
+///
+/// Unknown section ids are skipped on load, so newer writers stay readable
+/// by older readers. Loads are double-guarded: the fingerprints tie a
+/// snapshot to the exact graph its statistics describe, and the options
+/// block ties it to the construction knobs that shape the stored values —
+/// entries computed under a different materialize cap, bucket count or
+/// sampling setup would load cleanly but answer wrongly, so those are
+/// rejected too.
+///
+/// Dynamic state: a context that has applied edge deltas stamps its
+/// (delta-log hash, epoch, current-graph fingerprint) into kArenaMeta and
+/// embeds the net replay log as kDeltaLog, because the stored statistics
+/// then describe the *post-delta* graph. The embedded log makes the
+/// artifact self-contained: a consumer holding only the base graph replays
+/// it (ReadSnapshotDeltaLog + EstimationContext::ApplyDeltas) to
+/// reconstruct the exact graph state the statistics describe, then loads
+/// fresh.
 ///
 /// A fresh load attaches the keyed indexes behind the stats structures'
 /// lookup APIs (copy-on-miss into the memo caches; see util/arena.h), so
 /// time-to-first-estimate is the mmap plus header validation instead of a
 /// full parse. Stale-but-replayable loads materialize every index into the
-/// memo caches and then run the exact same delta-replay scrub as v2 loads.
-inline constexpr char kSnapshotMagic[] = "CEGSNAP1";  // 8 chars + NUL
-inline constexpr uint32_t kSnapshotVersion = 2;  ///< newest v2-container version
-inline constexpr uint32_t kSnapshotVersionStatic = 1;  ///< epoch-0 files
-inline constexpr uint32_t kSnapshotVersionArena = 3;   ///< arena container
+/// memo caches and then run the delta-replay scrub.
+///
+/// The older serde-parsed container (magic "CEGSNAP1", versions 1 and 2)
+/// is no longer read: such files fail with the arena's "bad magic"
+/// InvalidArgument and must be rebuilt with `cegraph_stats build`.
+inline constexpr uint32_t kSnapshotVersionArena = 3;  ///< the one version
 
 /// The context options echoed into the header: everything that changes the
 /// content (not just the coverage) of stored statistics. markov_h is
@@ -99,38 +85,33 @@ struct SnapshotOptions {
                          const SnapshotOptions&) = default;
 };
 
-/// Section identifiers.
+/// Section identifiers. Id 7 (the retired container's dynamic-state
+/// section, now folded into kArenaMeta) is never written.
 enum class SnapshotSection : uint32_t {
-  kMarkov = 1,        ///< u32 h + MarkovTable::ExportEntries (one per h)
-  kClosingRates = 2,  ///< CycleClosingRates::ExportEntries
-  kDegreeCatalog = 3, ///< StatsCatalog::ExportEntries
-  kCharSets = 4,      ///< CharacteristicSets::Save
+  kMarkov = 1,        ///< u32 h + pad + MarkovTable::ExportArenaEntries
+  kClosingRates = 2,  ///< CycleClosingRates::ExportArenaEntries
+  kDegreeCatalog = 3, ///< StatsCatalog::ExportArenaBases
+  kCharSets = 4,      ///< CharacteristicSets::SaveArena
   kSummaryGraph = 5,  ///< SummaryGraph::Save
-  kDispersion = 6,    ///< DispersionCatalog::ExportEntries
-  /// u64 delta-log hash + u64 epoch + current-graph fingerprint (v2).
-  kDynamicState = 7,
+  kDispersion = 6,    ///< DispersionCatalog::ExportArenaEntries
   /// Net replay log: u64 count + count × { u8 op, u32 src, u32 dst,
-  /// u32 label } (v2).
+  /// u32 label }.
   kDeltaLog = 8,
-  /// Arena-only: the folded header (snapshot version, base fingerprint,
-  /// options, delta hash, epoch, current fingerprint). See the version-3
-  /// notes above.
+  /// The header: snapshot version, base fingerprint, options, delta hash,
+  /// epoch, current fingerprint.
   kArenaMeta = 9,
-  /// Arena-only: the two-join half of the degree catalog (v1/v2 pack it
-  /// into kDegreeCatalog).
-  kDegreeJoins = 10,
+  kDegreeJoins = 10,  ///< StatsCatalog::ExportArenaJoins
   /// Learned-feedback store (learn::FeedbackStore::Serialize): the
   /// per-query-class q-error correction state, guarded by its own
   /// base-fingerprint stamp so a load against a different graph
-  /// discards it cleanly. Same payload in v1/v2 and arena containers
-  /// (the store is small and rebuilt into a hash table on load anyway).
-  /// Older readers skip the unknown id.
+  /// discards it cleanly. Older readers skip the unknown id.
   kFeedback = 11,
 };
 
-/// Which on-disk container SaveSnapshot / SaveSnapshotShards emit.
+/// The on-disk container SaveSnapshot / SaveSnapshotShards emit. Only the
+/// arena exists; the enum is kept because perfbench/driver names
+/// SnapshotFormat::kArena, and goes with the next change to that driver.
 enum class SnapshotFormat {
-  kV2,     ///< serde-parsed container (version 1 or 2, per context epoch)
   kArena,  ///< mmap-able arena container (version 3)
 };
 
@@ -144,11 +125,12 @@ const char* SnapshotSectionName(uint32_t id);
 // of which is itself a well-formed snapshot carrying a subset of the
 // monolithic sections:
 //
-//   common file   kCharSets + kSummaryGraph (+ kDynamicState, kDeltaLog)
-//   shard k of S  the keyed sections (kMarkov, kClosingRates,
-//                 kDegreeCatalog, kDispersion) filtered to the entries
-//                 whose stable key hash falls in range k of an S-way split
-//                 (+ kDynamicState), see util/shard.h
+//   common file   kArenaMeta + kCharSets + kSummaryGraph (+ kFeedback,
+//                 kDeltaLog)
+//   shard k of S  kArenaMeta + the keyed sections (kMarkov, kClosingRates,
+//                 kDegreeCatalog, kDegreeJoins, kDispersion) filtered to
+//                 the entries whose stable key hash falls in range k of an
+//                 S-way split, see util/shard.h
 //
 // The whole-graph summaries live in the common file because their internal
 // structure is not key-separable (SumRDF superedge tables connect buckets;
@@ -172,11 +154,9 @@ const char* SnapshotSectionName(uint32_t id);
 // section is parsed. A manifest must list every shard id 0..num_shards-1
 // exactly once — missing, duplicate or out-of-range ids fail ReadShardManifest.
 //
-// Each referenced file's container format is sniffed by magic at load, so
-// one manifest may mix arena (version 3) and v2 files: arena files are
-// mmap'd and their bytes hash-verified in place, v2 files are read and
-// parsed as before. `snapshot_version` records the format the manifest was
-// *written* with and is informational for mixed sets.
+// Each referenced file is mmap'd and its bytes hash-verified in place.
+// `snapshot_version` must be kSnapshotVersionArena: manifests naming the
+// retired versions 1 or 2 are rejected.
 inline constexpr char kShardManifestMagic[] = "CEGMANI1";  // 8 chars + NUL
 inline constexpr uint32_t kShardManifestVersion = 1;
 /// Upper bound on num_shards — far beyond any sane fleet, just a
@@ -194,7 +174,7 @@ struct ShardFileInfo {
 /// Parsed shard manifest.
 struct ShardManifest {
   uint32_t version = 0;           ///< manifest format version
-  uint32_t snapshot_version = 0;  ///< version of the shard files (1, 2 or 3)
+  uint32_t snapshot_version = 0;  ///< version of the shard files (3)
   graph::GraphFingerprint fingerprint;
   SnapshotOptions options;
   uint32_t num_shards = 0;
@@ -208,14 +188,10 @@ struct ShardManifest {
 /// files.
 bool IsShardManifest(const std::string& path);
 
-/// True iff the file at `path` starts with the arena magic "CEGARNA1" —
-/// i.e. it is a version-3 snapshot that LoadSnapshot will route through the
-/// mmap path. False for unreadable files.
-bool IsArenaSnapshot(const std::string& path);
-
-/// Reads and validates the manifest at `path`: magic/version, and that the
-/// shard list covers 0..num_shards-1 exactly once (a missing id, a
-/// duplicate/overlapping id, or an out-of-range id is InvalidArgument).
+/// Reads and validates the manifest at `path`: magic/version, the named
+/// snapshot version (3), and that the shard list covers 0..num_shards-1
+/// exactly once (a missing id, a duplicate/overlapping id, or an
+/// out-of-range id is InvalidArgument).
 /// Does not open the shard files themselves.
 util::StatusOr<ShardManifest> ReadShardManifest(const std::string& path);
 
@@ -229,8 +205,7 @@ struct SnapshotSectionInfo {
   uint64_t entries = 0;
   /// Only meaningful for kMarkov sections: the table size h.
   uint32_t markov_h = 0;
-  /// Absolute byte offset of the payload in the file. Zero for v1/v2
-  /// containers (sections are length-prefixed, not offset-addressed).
+  /// Absolute byte offset of the payload in the file.
   uint64_t offset = 0;
 };
 
@@ -241,12 +216,12 @@ struct SnapshotInfo {
   graph::GraphFingerprint fingerprint;
   SnapshotOptions options;
   uint64_t file_bytes = 0;
-  /// Dynamic state (version 2); zero for static (epoch-0) snapshots.
+  /// Dynamic state; zero for static (epoch-0) snapshots.
   uint64_t delta_hash = 0;
   uint64_t epoch = 0;
   /// Fingerprint of the graph the stored statistics actually describe
   /// (== `fingerprint` for static snapshots, the compacted post-delta
-  /// graph for version 2).
+  /// graph otherwise).
   graph::GraphFingerprint current_fingerprint;
   std::vector<SnapshotSectionInfo> sections;
 };

@@ -21,7 +21,7 @@ util::Status Malformed(const char* what) {
 }
 
 /// A group to encode: `count` entries from `start` in the caller's parallel
-/// label, edge-label and edge-count pools.
+/// label and edge-count pools.
 struct PendingGroup {
   uint64_t vertex_count, start, count;
 };
@@ -30,7 +30,6 @@ struct PendingGroup {
 std::string EncodeFlat(uint64_t num_vertices,
                        const std::vector<PendingGroup>& groups,
                        const std::vector<graph::Label>& labels,
-                       const std::vector<graph::Label>& edge_labels,
                        const std::vector<uint64_t>& edges) {
   uint64_t pairs = 0;
   for (const PendingGroup& group : groups) pairs += group.count;
@@ -58,7 +57,7 @@ std::string EncodeFlat(uint64_t num_vertices,
   for (const PendingGroup& group : groups) {
     for (size_t i = group.start; i < group.start + group.count; ++i) {
       put(at, labels[i], 4);
-      put(edge_at, edge_labels[i], 8);  // u32 label, u32 reserved (zero)
+      put(edge_at, labels[i], 8);  // u32 label, u32 reserved (zero)
       put(edge_at, edges[i], 8);
     }
   }
@@ -124,69 +123,9 @@ CharacteristicSets::CharacteristicSets(const graph::Graph& g) {
   std::sort(groups.begin(), groups.end(), [&](const auto& a, const auto& b) {
     return std::ranges::lexicographical_compare(run(a), run(b));
   });
-  *this = AttachOwned(EncodeFlat(n, groups, labels, labels, degrees),
+  *this = AttachOwned(EncodeFlat(n, groups, labels, degrees),
                       g.num_labels())
               .value();
-}
-
-void CharacteristicSets::Save(util::serde::Writer& writer) const {
-  writer.WriteU32(num_vertices_);
-  // A payload that failed the deferred scan saves as an empty summary.
-  const bool valid = Indexed() != nullptr;
-  writer.WriteU64(valid ? num_groups_ : 0);
-  for (uint64_t gi = 0; valid && gi < num_groups_; ++gi) {
-    const char* ge = bytes_.data() + kCsHeaderBytes + gi * kCsGroupStride;
-    const uint64_t set_count = util::LoadLittleU64(ge + 16);
-    // The scan checked that the edge keys mirror the char set 1:1.
-    const char* edges = bytes_.data() + edges_off_ +
-                        util::LoadLittleU64(ge + 24) * kCsEdgeStride;
-    const char* end = edges + set_count * kCsEdgeStride;
-    writer.WriteU64(set_count);
-    for (const char* e = edges; e < end; e += kCsEdgeStride) {
-      writer.WriteU32(util::LoadLittleU32(e));
-    }
-    writer.WriteU64(util::LoadLittleU64(ge));  // vertex_count
-    writer.WriteU64(set_count);
-    for (const char* e = edges; e < end; e += kCsEdgeStride) {
-      writer.WriteU32(util::LoadLittleU32(e));
-      writer.WriteU64(util::LoadLittleU64(e + 8));
-    }
-  }
-}
-
-util::StatusOr<CharacteristicSets> CharacteristicSets::Load(
-    util::serde::Reader& reader, uint32_t num_labels) {
-  // After the first failed read every field reads as 0 and the loops stop.
-  util::Status status;
-  auto get = [&status](auto value) -> uint64_t {
-    if (!value.ok() && status.ok()) status = value.status();
-    return value.ok() ? *value : 0;
-  };
-  const uint64_t num_vertices = get(reader.ReadU32());
-  const uint64_t num_groups = get(reader.ReadU64());
-  std::vector<PendingGroup> groups;
-  std::vector<graph::Label> labels, edge_labels;
-  std::vector<uint64_t> edges;
-  for (uint64_t gi = 0; gi < num_groups && status.ok(); ++gi) {
-    PendingGroup group{0, labels.size(), get(reader.ReadU64())};
-    for (uint64_t i = 0; i < group.count && status.ok(); ++i) {
-      labels.push_back(static_cast<graph::Label>(get(reader.ReadU32())));
-    }
-    group.vertex_count = get(reader.ReadU64());
-    if (get(reader.ReadU64()) != group.count && status.ok()) {
-      status = util::InvalidArgumentError("char-set label/edge arity mismatch");
-    }
-    for (uint64_t i = 0; i < group.count && status.ok(); ++i) {
-      edge_labels.push_back(static_cast<graph::Label>(get(reader.ReadU32())));
-      edges.push_back(get(reader.ReadU64()));
-    }
-    groups.push_back(group);
-  }
-  if (!status.ok()) return status;
-  // The flat scan enforces the rest: non-empty groups, strictly ascending
-  // labels mirrored by the edge keys, every label below num_labels.
-  return AttachOwned(
-      EncodeFlat(num_vertices, groups, labels, edge_labels, edges), num_labels);
 }
 
 util::StatusOr<CharacteristicSets> CharacteristicSets::AttachMapped(

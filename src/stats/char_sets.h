@@ -10,7 +10,6 @@
 
 #include "graph/graph.h"
 #include "util/arena.h"
-#include "util/serde.h"
 #include "util/status.h"
 
 namespace cegraph::stats {
@@ -22,8 +21,8 @@ namespace cegraph::stats {
 /// which average per-label multiplicities follow).
 ///
 /// Every instance has one backing, the flat layout below: an owned buffer
-/// (built from a graph or parsed from v2 bytes) or arena bytes mapped in
-/// place (v3). Groups are ordered by char set, compared as std::set does.
+/// built from a graph, or arena snapshot bytes mapped in place. Groups are
+/// ordered by char set, compared as std::set does.
 ///
 ///   u64 num_vertices, u64 num_groups, u64 labels_count, u64 edges_count
 ///   group table: num_groups x { u64 vertex_count, u64 set_start,
@@ -53,15 +52,6 @@ class CharacteristicSets {
   /// multiplied in ascending label order and summed in group order.
   double EstimateStar(const std::vector<graph::Label>& labels) const;
 
-  /// Serializes the whole summary in the v2 shape.
-  void Save(util::serde::Writer& writer) const;
-
-  /// Reconstructs a summary written by Save for a graph with `num_labels`
-  /// edge labels. Fails on truncated or corrupted input, including any
-  /// label >= num_labels.
-  static util::StatusOr<CharacteristicSets> Load(util::serde::Reader& reader,
-                                                 uint32_t num_labels);
-
   /// The flat layout above (a byte copy of the backing).
   std::string SaveArena() const { return std::string(bytes_); }
 
@@ -76,7 +66,7 @@ class CharacteristicSets {
 
   /// Forces the deferred per-group scan and index build and reports the
   /// result. Validation-only snapshot passes call this for full rigor;
-  /// serving paths pay it on first EstimateStar/Save instead.
+  /// serving paths pay it on first EstimateStar instead.
   util::Status ValidateNow() const {
     Indexed();
     return index_->status;

@@ -13,8 +13,8 @@ using graph::Label;
 using graph::VertexId;
 
 /// The one serialized shape of a ClosingKey (3 x u32 labels + packed
-/// orientation flags) — shared by ExportEntries, ImportEntries and the
-/// shard hash so the three can never drift apart.
+/// orientation flags) — shared by the arena index keys, their decoder and
+/// the shard hash so the three can never drift apart.
 void WriteClosingKey(util::serde::Writer& writer, const ClosingKey& key) {
   writer.WriteU32(key.first_label);
   writer.WriteU32(key.last_label);
@@ -115,37 +115,6 @@ util::Status CycleClosingRates::MaterializeFromIndex(
       });
   if (!walk.ok()) return walk;
   return decode;
-}
-
-void CycleClosingRates::ExportEntries(util::serde::Writer& writer,
-                                      uint32_t shard,
-                                      uint32_t num_shards) const {
-  std::vector<std::pair<ClosingKey, double>> entries;
-  entries.reserve(cache_.size());
-  cache_.ForEach([&](const ClosingKey& key, const double& rate) {
-    if (util::InShard(ShardHash(key), shard, num_shards)) {
-      entries.emplace_back(key, rate);
-    }
-  });
-  writer.WriteU64(entries.size());
-  for (const auto& [key, rate] : entries) {
-    WriteClosingKey(writer, key);
-    writer.WriteDouble(rate);
-  }
-}
-
-util::Status CycleClosingRates::ImportEntries(
-    util::serde::Reader& reader) const {
-  auto count = reader.ReadU64();
-  if (!count.ok()) return count.status();
-  for (uint64_t i = 0; i < *count; ++i) {
-    auto key = ReadClosingKey(reader);
-    if (!key.ok()) return key.status();
-    auto rate = reader.ReadDouble();
-    if (!rate.ok()) return rate.status();
-    cache_.Insert(*key, *rate);
-  }
-  return util::Status::OK();
 }
 
 double CycleClosingRates::Sample(const ClosingKey& key) const {

@@ -118,16 +118,6 @@ class CycleClosingRates {
   /// Lookup/eviction counters of the memo cache.
   util::CacheCounters cache_counters() const { return cache_.counters(); }
 
-  /// Serializes every sampled (key, rate) entry — the cycle-closing section
-  /// of a summary snapshot. With num_shards >= 2 only the entries whose
-  /// key-hash range is `shard` are written (see util/shard.h).
-  void ExportEntries(util::serde::Writer& writer, uint32_t shard = 0,
-                     uint32_t num_shards = 0) const;
-
-  /// Merges previously exported entries (existing entries win). Fails on
-  /// truncated/corrupted input.
-  util::Status ImportEntries(util::serde::Reader& reader) const;
-
   // ---- Mapped-backing surface (arena snapshot v3) ----
   // See MarkovTable: memo first, then mapped probe with copy-on-miss;
   // attach/detach run quiesced. Index keys are the serialized
@@ -135,8 +125,10 @@ class CycleClosingRates {
   // channel, so a corrupted index degrades to a resample (deterministic,
   // so still the cold value), never an error.
 
-  /// Serializes entries into an arena hash index (same shard filter as
-  /// ExportEntries).
+  /// Serializes every sampled (key, rate) entry into an arena hash index —
+  /// the cycle-closing section of a summary snapshot. With num_shards >= 2
+  /// only the entries whose key-hash range is `shard` are written (see
+  /// util/shard.h).
   void ExportArenaEntries(util::ArenaIndexBuilder& builder, uint32_t shard = 0,
                           uint32_t num_shards = 0) const;
 
@@ -153,6 +145,15 @@ class CycleClosingRates {
 
   /// Decodes every entry of `index` into the memo cache.
   util::Status MaterializeFromIndex(const util::MappedIndex& index) const;
+
+  /// Decodes every attached index into the memo cache, then detaches them.
+  util::Status MaterializeMapped() const {
+    for (const auto& [index, owner] : mapped_) {
+      CEGRAPH_RETURN_IF_ERROR(MaterializeFromIndex(index));
+    }
+    DetachMappedIndexes();
+    return util::Status::OK();
+  }
 
  private:
   double Sample(const ClosingKey& key) const;

@@ -240,88 +240,6 @@ util::StatusOr<QueryGraph> ReadQueryGraph(util::serde::Reader& reader) {
                             std::move(constraints));
 }
 
-}  // namespace
-
-void StatsCatalog::ExportEntries(util::serde::Writer& writer, uint32_t shard,
-                                 uint32_t num_shards) const {
-  std::vector<std::pair<graph::Label, DegreeMap>> bases;
-  bases.reserve(base_cache_.size());
-  base_cache_.ForEach([&](const graph::Label& l, const DegreeMap& dm) {
-    if (util::InShard(util::StableHash64(static_cast<uint64_t>(l)), shard,
-                      num_shards)) {
-      bases.emplace_back(l, dm);
-    }
-  });
-  writer.WriteU64(bases.size());
-  for (const auto& [l, dm] : bases) {
-    writer.WriteU32(l);
-    WriteDegreeMap(writer, dm);
-  }
-
-  // JoinStats pointers are node-stable, so collecting them under the lock
-  // and serializing outside is safe.
-  std::vector<std::pair<std::string, const JoinStats*>> joins;
-  joins.reserve(join_cache_.size());
-  join_cache_.ForEach(
-      [&](const std::string& key, const std::unique_ptr<JoinStats>& js) {
-        if (util::InShard(util::StableHash64(key), shard, num_shards)) {
-          joins.emplace_back(key, js.get());
-        }
-      });
-  writer.WriteU64(joins.size());
-  for (const auto& [key, js] : joins) {
-    writer.WriteString(key);
-    writer.WriteU8(js != nullptr ? 1 : 0);  // 0 = over-cap verdict
-    if (js != nullptr) {
-      WriteQueryGraph(writer, js->representative);
-      WriteDegreeMap(writer, js->deg);
-      writer.WriteDouble(js->cardinality);
-    }
-  }
-}
-
-util::Status StatsCatalog::ImportEntries(util::serde::Reader& reader) const {
-  auto num_bases = reader.ReadU64();
-  if (!num_bases.ok()) return num_bases.status();
-  for (uint64_t i = 0; i < *num_bases; ++i) {
-    auto label = reader.ReadU32();
-    if (!label.ok()) return label.status();
-    auto dm = ReadDegreeMap(reader);
-    if (!dm.ok()) return dm.status();
-    if (*label >= g_.num_labels()) {
-      return util::InvalidArgumentError("base-relation label out of range");
-    }
-    base_cache_.Insert(*label, *dm);
-  }
-
-  auto num_joins = reader.ReadU64();
-  if (!num_joins.ok()) return num_joins.status();
-  for (uint64_t i = 0; i < *num_joins; ++i) {
-    auto key = reader.ReadString();
-    if (!key.ok()) return key.status();
-    auto has_stats = reader.ReadU8();
-    if (!has_stats.ok()) return has_stats.status();
-    if (*has_stats == 0) {
-      join_cache_.Insert(*key, nullptr);
-      continue;
-    }
-    auto representative = ReadQueryGraph(reader);
-    if (!representative.ok()) return representative.status();
-    auto dm = ReadDegreeMap(reader);
-    if (!dm.ok()) return dm.status();
-    auto cardinality = reader.ReadDouble();
-    if (!cardinality.ok()) return cardinality.status();
-    auto js = std::make_unique<JoinStats>();
-    js->representative = std::move(*representative);
-    js->deg = *dm;
-    js->cardinality = *cardinality;
-    join_cache_.Insert(*key, std::move(js));
-  }
-  return util::Status::OK();
-}
-
-namespace {
-
 /// Arena index key of base relation `l`: the 8 LE bytes StableHash64's
 /// u64 overload hashes, so index-probe hash == shard hash of the label.
 std::string LabelKeyBytes(graph::Label l) {
@@ -347,7 +265,7 @@ util::StatusOr<graph::Label> LabelFromKeyBytes(std::string_view bytes) {
 
 /// The one serialized shape of a two-join value (shared by the arena
 /// export, mapped probe and materialization): u8 has_stats, then the
-/// JoinStats fields exactly as the v2 section orders them.
+/// JoinStats fields (representative, degree map, cardinality).
 void WriteJoinValue(util::serde::Writer& writer,
                     const StatsCatalog::JoinStats* js) {
   writer.WriteU8(js != nullptr ? 1 : 0);  // 0 = over-cap verdict

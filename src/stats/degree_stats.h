@@ -124,27 +124,18 @@ class StatsCatalog {
     return join_cache_.counters();
   }
 
-  /// Serializes both memo caches (base-relation degree maps and
-  /// materialized two-join statistics, over-cap markers included) — the
-  /// degree-statistics section of a summary snapshot. With num_shards >= 2
+  // ---- Mapped-backing surface (arena snapshot v3) ----
+  // See MarkovTable: memo first, then mapped probe with copy-on-miss;
+  // attach/detach run quiesced. The snapshot keeps two separate hash
+  // indexes — base relations (key = 8-byte LE label, value = DegreeMap)
+  // and two-joins (key = canonical code, value = u8 has_stats + JoinStats
+  // fields) — so each is probed in place without scanning the other.
+
+  /// Serialize the two memo caches (over-cap markers included) — the
+  /// degree-statistics sections of a summary snapshot. With num_shards >= 2
   /// only entries whose key-hash range is `shard` are written (base
   /// relations shard by label, two-joins by canonical code; see
   /// util/shard.h).
-  void ExportEntries(util::serde::Writer& writer, uint32_t shard = 0,
-                     uint32_t num_shards = 0) const;
-
-  /// Merges previously exported entries (existing entries win). Fails on
-  /// truncated/corrupted input.
-  util::Status ImportEntries(util::serde::Reader& reader) const;
-
-  // ---- Mapped-backing surface (arena snapshot v3) ----
-  // See MarkovTable: memo first, then mapped probe with copy-on-miss;
-  // attach/detach run quiesced. Unlike the v2 section (one payload holding
-  // both caches), the arena keeps two separate hash indexes — base
-  // relations (key = 8-byte LE label, value = DegreeMap) and two-joins
-  // (key = canonical code, value = u8 has_stats + JoinStats fields) — so
-  // each is probed in place without scanning the other.
-
   void ExportArenaBases(util::ArenaIndexBuilder& builder, uint32_t shard = 0,
                         uint32_t num_shards = 0) const;
   void ExportArenaJoins(util::ArenaIndexBuilder& builder, uint32_t shard = 0,
@@ -172,6 +163,18 @@ class StatsCatalog {
   /// Decode every entry of a mapped index into the corresponding memo.
   util::Status MaterializeFromBases(const util::MappedIndex& index) const;
   util::Status MaterializeFromJoins(const util::MappedIndex& index) const;
+
+  /// Decodes every attached index into the memos, then detaches them.
+  util::Status MaterializeMapped() const {
+    for (const auto& [index, owner] : mapped_bases_) {
+      CEGRAPH_RETURN_IF_ERROR(MaterializeFromBases(index));
+    }
+    for (const auto& [index, owner] : mapped_joins_) {
+      CEGRAPH_RETURN_IF_ERROR(MaterializeFromJoins(index));
+    }
+    DetachMappedIndexes();
+    return util::Status::OK();
+  }
 
  private:
   bool FindMappedBase(graph::Label l, DegreeMap* dm) const;

@@ -127,47 +127,6 @@ util::StatusOr<ExtensionDispersion> DispersionCatalog::Get(
   return cache_.Insert(key, result);
 }
 
-void DispersionCatalog::ExportEntries(util::serde::Writer& writer,
-                                      uint32_t shard,
-                                      uint32_t num_shards) const {
-  std::vector<std::pair<std::string, ExtensionDispersion>> entries;
-  entries.reserve(cache_.size());
-  cache_.ForEach([&](const std::string& key, const ExtensionDispersion& d) {
-    if (util::InShard(util::StableHash64(key), shard, num_shards)) {
-      entries.emplace_back(key, d);
-    }
-  });
-  writer.WriteU64(entries.size());
-  for (const auto& [key, d] : entries) {
-    writer.WriteString(key);
-    writer.WriteDouble(d.mean);
-    writer.WriteDouble(d.cv2);
-    writer.WriteDouble(d.entropy);
-  }
-}
-
-util::Status DispersionCatalog::ImportEntries(
-    util::serde::Reader& reader) const {
-  auto count = reader.ReadU64();
-  if (!count.ok()) return count.status();
-  for (uint64_t i = 0; i < *count; ++i) {
-    auto key = reader.ReadString();
-    if (!key.ok()) return key.status();
-    ExtensionDispersion d;
-    auto mean = reader.ReadDouble();
-    if (!mean.ok()) return mean.status();
-    auto cv2 = reader.ReadDouble();
-    if (!cv2.ok()) return cv2.status();
-    auto entropy = reader.ReadDouble();
-    if (!entropy.ok()) return entropy.status();
-    d.mean = *mean;
-    d.cv2 = *cv2;
-    d.entropy = *entropy;
-    cache_.Insert(*key, d);
-  }
-  return util::Status::OK();
-}
-
 namespace {
 
 util::StatusOr<ExtensionDispersion> ReadDispersionValue(

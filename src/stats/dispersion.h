@@ -89,24 +89,15 @@ class DispersionCatalog {
   /// Lookup/eviction counters of the memo cache.
   util::CacheCounters cache_counters() const { return cache_.counters(); }
 
-  /// Serializes every cached (pattern class, dispersion) entry — the
-  /// dispersion section of a summary snapshot. With num_shards >= 2 only
-  /// the entries whose key-hash range is `shard` are written (see
-  /// util/shard.h).
-  void ExportEntries(util::serde::Writer& writer, uint32_t shard = 0,
-                     uint32_t num_shards = 0) const;
-
-  /// Merges previously exported entries (existing entries win). Fails on
-  /// truncated/corrupted input.
-  util::Status ImportEntries(util::serde::Reader& reader) const;
-
   // ---- Mapped-backing surface (arena snapshot v3) ----
   // See MarkovTable: memo first, then mapped probe with copy-on-miss;
   // attach/detach run quiesced. Index keys are the marked canonical codes,
   // values the three dispersion doubles.
 
-  /// Serializes entries into an arena hash index (same shard filter as
-  /// ExportEntries).
+  /// Serializes every cached (pattern class, dispersion) entry into an
+  /// arena hash index — the dispersion section of a summary snapshot. With
+  /// num_shards >= 2 only the entries whose key-hash range is `shard` are
+  /// written (see util/shard.h).
   void ExportArenaEntries(util::ArenaIndexBuilder& builder, uint32_t shard = 0,
                           uint32_t num_shards = 0) const;
 
@@ -123,6 +114,15 @@ class DispersionCatalog {
 
   /// Decodes every entry of `index` into the memo cache.
   util::Status MaterializeFromIndex(const util::MappedIndex& index) const;
+
+  /// Decodes every attached index into the memo cache, then detaches them.
+  util::Status MaterializeMapped() const {
+    for (const auto& [index, owner] : mapped_) {
+      CEGRAPH_RETURN_IF_ERROR(MaterializeFromIndex(index));
+    }
+    DetachMappedIndexes();
+    return util::Status::OK();
+  }
 
  private:
   bool FindMapped(const std::string& key, ExtensionDispersion* d) const;

@@ -93,36 +93,4 @@ size_t MarkovTable::ApproximateSizeBytes() const {
   return bytes;
 }
 
-void MarkovTable::ExportEntries(util::serde::Writer& writer, uint32_t shard,
-                                uint32_t num_shards) const {
-  // Snapshot the entries first (ForEach holds the cache lock; writing while
-  // holding it would be fine too, but keeping the critical section minimal
-  // matches the rest of the library).
-  std::vector<std::pair<std::string, double>> entries;
-  entries.reserve(cache_.size());
-  cache_.ForEach([&](const std::string& key, const double& value) {
-    if (util::InShard(util::StableHash64(key), shard, num_shards)) {
-      entries.emplace_back(key, value);
-    }
-  });
-  writer.WriteU64(entries.size());
-  for (const auto& [key, value] : entries) {
-    writer.WriteString(key);
-    writer.WriteDouble(value);
-  }
-}
-
-util::Status MarkovTable::ImportEntries(util::serde::Reader& reader) const {
-  auto count = reader.ReadU64();
-  if (!count.ok()) return count.status();
-  for (uint64_t i = 0; i < *count; ++i) {
-    auto key = reader.ReadString();
-    if (!key.ok()) return key.status();
-    auto value = reader.ReadDouble();
-    if (!value.ok()) return value.status();
-    cache_.Insert(*key, *value);
-  }
-  return util::Status::OK();
-}
-
 }  // namespace cegraph::stats

@@ -52,19 +52,6 @@ class MarkovTable {
   /// in MBs; each entry is one pattern cardinality).
   size_t num_entries() const { return cache_.size(); }
 
-  /// Serializes every memoized (canonical code, cardinality) entry — the
-  /// Markov section of a summary snapshot. With num_shards >= 2 only the
-  /// entries whose key-hash range is `shard` are written (the sharded
-  /// snapshot layer; see util/shard.h — the union over all shards is
-  /// exactly the unsharded export).
-  void ExportEntries(util::serde::Writer& writer, uint32_t shard = 0,
-                     uint32_t num_shards = 0) const;
-
-  /// Merges previously exported entries into the memo cache (existing
-  /// entries win, though for one graph the values are identical by
-  /// construction). Fails on truncated/corrupted input.
-  util::Status ImportEntries(util::serde::Reader& reader) const;
-
   // ---- Mapped-backing surface (arena snapshot v3) ----
   // The mapped-or-owned storage model: lookups consult the memo cache
   // first, then any attached read-only arena indexes (snapshot bytes served
@@ -74,9 +61,12 @@ class MarkovTable {
   // run quiesced (load / maintenance time), like every other maintenance
   // operation; concurrent estimation only ever *reads* the index list.
 
-  /// Serializes entries into an arena hash index — the v3 analogue of
-  /// ExportEntries (key = canonical code bytes, value = 8-byte LE double;
-  /// same shard filter).
+  /// Serializes every memoized (canonical code, cardinality) entry into an
+  /// arena hash index — the Markov section of a summary snapshot (key =
+  /// canonical code bytes, value = 8-byte LE double). With num_shards >= 2
+  /// only the entries whose key-hash range is `shard` are written (the
+  /// sharded snapshot layer; see util/shard.h — the union over all shards
+  /// is exactly the unsharded export).
   void ExportArenaEntries(util::ArenaIndexBuilder& builder, uint32_t shard = 0,
                           uint32_t num_shards = 0) const;
 
@@ -94,8 +84,17 @@ class MarkovTable {
   size_t num_mapped_indexes() const { return mapped_.size(); }
 
   /// Decodes every entry of `index` into the memo cache (stale snapshot
-  /// loads materialize-then-scrub; cross-format verification).
+  /// loads materialize-then-scrub).
   util::Status MaterializeFromIndex(const util::MappedIndex& index) const;
+
+  /// Decodes every attached index into the memo cache, then detaches them.
+  util::Status MaterializeMapped() const {
+    for (const auto& [index, owner] : mapped_) {
+      CEGRAPH_RETURN_IF_ERROR(MaterializeFromIndex(index));
+    }
+    DetachMappedIndexes();
+    return util::Status::OK();
+  }
 
   // ---- Maintenance surface (dynamic layer) ----
   // These exist for dynamic::StatsMaintainer: migrating entries onto a new

@@ -33,7 +33,7 @@ struct CacheCounters {
 /// This replaces the hand-rolled mutex+map pair that used to be duplicated
 /// across MarkovTable, CycleClosingRates, StatsCatalog (twice),
 /// DispersionCatalog and friends, and is what gives all of them a uniform
-/// ExportEntries/ImportEntries surface for snapshot serialization.
+/// ForEach/Insert surface for arena snapshot export and materialization.
 template <typename Key, typename Value, typename Hash = std::hash<Key>>
 class KeyedCache {
  public:

@@ -1,4 +1,4 @@
-// Tests for the mmap-able arena layer behind snapshot format v3.
+// Tests for the mmap-able arena layer behind the snapshot format.
 //
 // Robustness: the container and index readers must turn every corruption —
 // truncated files, misaligned section offsets, out-of-range bucket
@@ -7,10 +7,9 @@
 // randomized byte mutation in the wire_fuzz_test style.
 //
 // Correctness: an arena snapshot served in place must be bit-identical to
-// the v2 parse path and to a cold build for every registry estimator —
-// monolithic, sharded (including manifests mixing arena and v2 shard
-// files), and through the delta machinery (fresh attach + later deltas,
-// and stale loads that replay).
+// a cold build for every registry estimator — monolithic, sharded, after a
+// materialize + re-save, and through the delta machinery (fresh attach +
+// later deltas, and stale loads that replay).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -280,83 +279,89 @@ void Prewarm(EstimationEngine& engine,
   engine.context().Prewarm(workload, prewarm);
 }
 
-TEST(ArenaSnapshotTest, MappedLoadIsBitIdenticalToParsedAndCold) {
+TEST(ArenaSnapshotTest, MappedLoadIsBitIdenticalToCold) {
   const graph::Graph g = SmallGraph();
   const auto workload = SmallWorkload(g);
   TempDir dir("cross_format");
 
   EstimationEngine cold(g);
   Prewarm(cold, workload);
-  ASSERT_TRUE(cold.context().SaveSnapshot(dir.File("v2.snap")).ok());
-  ASSERT_TRUE(cold.context()
-                  .SaveSnapshot(dir.File("v3.snap"), SnapshotFormat::kArena)
-                  .ok());
+  ASSERT_TRUE(cold.context().SaveSnapshot(dir.File("v3.snap")).ok());
   const std::vector<double> cold_estimates = AllEstimates(cold, workload);
-
-  EstimationEngine parsed(g);
-  EstimationContext::SnapshotLoadReport parsed_report;
-  ASSERT_TRUE(
-      parsed.context().LoadSnapshot(dir.File("v2.snap"), &parsed_report).ok());
-  EXPECT_FALSE(parsed_report.mapped);
 
   EstimationEngine mapped(g);
   EstimationContext::SnapshotLoadReport mapped_report;
-  auto loaded = mapped.context().LoadSnapshotMapped(dir.File("v3.snap"),
-                                                    &mapped_report);
+  auto loaded = mapped.context().LoadSnapshot(dir.File("v3.snap"),
+                                              &mapped_report);
   ASSERT_TRUE(loaded.ok()) << loaded;
   EXPECT_TRUE(mapped_report.mapped);
   EXPECT_FALSE(mapped_report.stale);
   EXPECT_EQ(mapped_report.mapped_bytes,
             std::filesystem::file_size(dir.File("v3.snap")));
 
-  ExpectBitIdentical(AllEstimates(parsed, workload), cold_estimates);
   ExpectBitIdentical(AllEstimates(mapped, workload), cold_estimates);
 }
 
-TEST(ArenaSnapshotTest, LoadSnapshotRoutesArenaFilesByMagic) {
-  const graph::Graph g = SmallGraph();
-  const auto workload = SmallWorkload(g);
-  TempDir dir("routing");
-  EstimationEngine cold(g);
-  Prewarm(cold, workload);
-  ASSERT_TRUE(cold.context()
-                  .SaveSnapshot(dir.File("v3.snap"), SnapshotFormat::kArena)
-                  .ok());
-  EXPECT_TRUE(IsArenaSnapshot(dir.File("v3.snap")));
-
-  // The generic entry point must detect and map the arena file; the
-  // mapped entry point must in turn fall back to parsing for v2 files.
-  EstimationEngine warm(g);
-  EstimationContext::SnapshotLoadReport report;
-  ASSERT_TRUE(warm.context().LoadSnapshot(dir.File("v3.snap"), &report).ok());
-  EXPECT_TRUE(report.mapped);
-
-  ASSERT_TRUE(cold.context().SaveSnapshot(dir.File("v2.snap")).ok());
-  EstimationEngine warm2(g);
-  ASSERT_TRUE(
-      warm2.context().LoadSnapshotMapped(dir.File("v2.snap"), &report).ok());
-  EXPECT_FALSE(report.mapped);
-}
-
-TEST(ArenaSnapshotTest, ArenaResavesAsV2Identically) {
+TEST(ArenaSnapshotTest, MaterializedResaveKeepsEveryEntry) {
   const graph::Graph g = SmallGraph();
   const auto workload = SmallWorkload(g);
   TempDir dir("resave");
   EstimationEngine cold(g);
   Prewarm(cold, workload);
-  ASSERT_TRUE(cold.context()
-                  .SaveSnapshot(dir.File("v3.snap"), SnapshotFormat::kArena)
-                  .ok());
+  ASSERT_TRUE(cold.context().SaveSnapshot(dir.File("v3.snap")).ok());
+  const std::vector<double> cold_estimates = AllEstimates(cold, workload);
 
-  // Mapped context -> v2 save -> parse: estimates survive two format hops.
+  // Mapped context -> materialize -> arena re-save -> load: the re-saved
+  // file carries every entry of the original, section by section, and
+  // estimates survive both hops.
   EstimationEngine mapped(g);
   ASSERT_TRUE(mapped.context().LoadSnapshot(dir.File("v3.snap")).ok());
-  const std::vector<double> mapped_estimates = AllEstimates(mapped, workload);
+  ASSERT_GT(mapped.context().markov().num_mapped_indexes(), 0u);
+  ASSERT_TRUE(mapped.context().MaterializeMappedIndexes().ok());
+  EXPECT_EQ(mapped.context().markov().num_mapped_indexes(), 0u);
+  EXPECT_EQ(mapped.context().stats_catalog().num_mapped_indexes(), 0u);
   ASSERT_TRUE(mapped.context().SaveSnapshot(dir.File("back.snap")).ok());
 
-  EstimationEngine reparsed(g);
-  ASSERT_TRUE(reparsed.context().LoadSnapshot(dir.File("back.snap")).ok());
-  ExpectBitIdentical(AllEstimates(reparsed, workload), mapped_estimates);
+  auto original = ReadSnapshotInfo(dir.File("v3.snap"));
+  auto resaved = ReadSnapshotInfo(dir.File("back.snap"));
+  ASSERT_TRUE(original.ok() && resaved.ok());
+  ASSERT_EQ(resaved->sections.size(), original->sections.size());
+  for (size_t i = 0; i < original->sections.size(); ++i) {
+    EXPECT_EQ(resaved->sections[i].name, original->sections[i].name);
+    EXPECT_EQ(resaved->sections[i].entries, original->sections[i].entries)
+        << original->sections[i].name;
+  }
+  EXPECT_EQ(ReadAll(dir.File("back.snap")), ReadAll(dir.File("v3.snap")));
+
+  EstimationEngine reloaded(g);
+  ASSERT_TRUE(reloaded.context().LoadSnapshot(dir.File("back.snap")).ok());
+  ExpectBitIdentical(AllEstimates(reloaded, workload), cold_estimates);
+  ExpectBitIdentical(AllEstimates(mapped, workload), cold_estimates);
+}
+
+TEST(ArenaSnapshotTest, SaveOverAMappedFileKeepsItsReadersServing) {
+  const graph::Graph g = SmallGraph();
+  const auto workload = SmallWorkload(g);
+  TempDir dir("overwrite");
+  EstimationEngine cold(g);
+  Prewarm(cold, workload);
+  ASSERT_TRUE(cold.context().SaveSnapshot(dir.File("v3.snap")).ok());
+  const std::vector<double> cold_estimates = AllEstimates(cold, workload);
+
+  // A serving context maps the file; then a smaller snapshot is saved to
+  // the same path. Truncating the mapped file in place would fault the
+  // reader's next probe; the save must replace it instead.
+  EstimationEngine served(g);
+  EstimationContext::SnapshotLoadReport report;
+  ASSERT_TRUE(served.context().LoadSnapshot(dir.File("v3.snap"), &report).ok());
+  ASSERT_TRUE(report.mapped);
+  EstimationEngine empty(g);
+  ASSERT_TRUE(empty.context().SaveSnapshot(dir.File("v3.snap")).ok());
+  ASSERT_LT(std::filesystem::file_size(dir.File("v3.snap")),
+            report.mapped_bytes);
+  EXPECT_FALSE(std::filesystem::exists(dir.File("v3.snap.tmp")));
+
+  ExpectBitIdentical(AllEstimates(served, workload), cold_estimates);
 }
 
 TEST(ArenaSnapshotTest, InspectReportsAlignedArenaSections) {
@@ -366,7 +371,7 @@ TEST(ArenaSnapshotTest, InspectReportsAlignedArenaSections) {
   EstimationEngine cold(g);
   Prewarm(cold, workload);
   ASSERT_TRUE(cold.context()
-                  .SaveSnapshot(dir.File("v3.snap"), SnapshotFormat::kArena)
+                  .SaveSnapshot(dir.File("v3.snap"))
                   .ok());
 
   auto info = ReadSnapshotInfo(dir.File("v3.snap"));
@@ -395,7 +400,7 @@ TEST(ArenaSnapshotTest, TruncatedArenaFilesRejectedCleanly) {
   EstimationEngine cold(g);
   Prewarm(cold, workload);
   ASSERT_TRUE(cold.context()
-                  .SaveSnapshot(dir.File("v3.snap"), SnapshotFormat::kArena)
+                  .SaveSnapshot(dir.File("v3.snap"))
                   .ok());
   const std::string image = ReadAll(dir.File("v3.snap"));
 
@@ -421,7 +426,7 @@ TEST(ArenaSnapshotTest, RandomMutationsNeverCrashTheLoader) {
   EstimationEngine cold(g);
   Prewarm(cold, workload);
   ASSERT_TRUE(cold.context()
-                  .SaveSnapshot(dir.File("v3.snap"), SnapshotFormat::kArena)
+                  .SaveSnapshot(dir.File("v3.snap"))
                   .ok());
   const std::string pristine = ReadAll(dir.File("v3.snap"));
 
@@ -510,17 +515,12 @@ TEST(ArenaSnapshotTest, ArenaShardManifestLoadsBitIdentically) {
   TempDir dir("shards");
   EstimationEngine cold(g);
   Prewarm(cold, workload);
-  ASSERT_TRUE(cold.context()
-                  .SaveSnapshotShards(dir.File("m_ar"), 3,
-                                      SnapshotFormat::kArena)
-                  .ok());
+  ASSERT_TRUE(cold.context().SaveSnapshotShards(dir.File("m_ar"), 3).ok());
   const std::vector<double> cold_estimates = AllEstimates(cold, workload);
 
   auto manifest = ReadShardManifest(dir.File("m_ar"));
   ASSERT_TRUE(manifest.ok()) << manifest.status();
   EXPECT_EQ(manifest->snapshot_version, kSnapshotVersionArena);
-  EXPECT_TRUE(IsArenaSnapshot(dir.File("m_ar.common")));
-  EXPECT_TRUE(IsArenaSnapshot(dir.File("m_ar.shard0")));
 
   EstimationEngine warm(g);
   EstimationContext::SnapshotLoadReport report;
@@ -528,74 +528,6 @@ TEST(ArenaSnapshotTest, ArenaShardManifestLoadsBitIdentically) {
   ASSERT_TRUE(loaded.ok()) << loaded;
   EXPECT_TRUE(report.mapped);
   EXPECT_GT(report.mapped_bytes, 0u);
-  ExpectBitIdentical(AllEstimates(warm, workload), cold_estimates);
-}
-
-/// Rewrites `manifest_path` in place after `mutate` adjusted its entries —
-/// the byte layout is header (magic, version, fingerprint, options)
-/// followed by a tail this helper re-encodes from the parsed manifest.
-void RewriteManifestTail(const std::string& manifest_path,
-                         const ShardManifest& manifest) {
-  const std::string raw = ReadAll(manifest_path);
-  size_t tail_len = 4 + 4 + (8 + manifest.common.file.size()) + 8 + 8 + 4;
-  for (const ShardFileInfo& shard : manifest.shards) {
-    tail_len += 4 + (8 + shard.file.size()) + 8 + 8;
-  }
-  ASSERT_LT(tail_len, raw.size());
-  util::serde::Writer tail;
-  tail.WriteU32(manifest.snapshot_version);
-  tail.WriteU32(manifest.num_shards);
-  tail.WriteString(manifest.common.file);
-  tail.WriteU64(manifest.common.bytes);
-  tail.WriteU64(manifest.common.hash);
-  tail.WriteU32(static_cast<uint32_t>(manifest.shards.size()));
-  for (const ShardFileInfo& shard : manifest.shards) {
-    tail.WriteU32(shard.shard);
-    tail.WriteString(shard.file);
-    tail.WriteU64(shard.bytes);
-    tail.WriteU64(shard.hash);
-  }
-  ASSERT_EQ(tail.size(), tail_len);
-  WriteAll(manifest_path, raw.substr(0, raw.size() - tail_len) +
-                              tail.buffer());
-}
-
-TEST(ArenaSnapshotTest, ManifestMixingArenaAndV2ShardFilesLoads) {
-  const graph::Graph g = SmallGraph();
-  const auto workload = SmallWorkload(g);
-  TempDir dir("mixed");
-  EstimationEngine cold(g);
-  Prewarm(cold, workload);
-  // The same context sharded both ways: shard k carries the same keys in
-  // both formats (shard routing hashes only the keys), so files are
-  // interchangeable per slot.
-  ASSERT_TRUE(cold.context().SaveSnapshotShards(dir.File("mix"), 2).ok());
-  ASSERT_TRUE(cold.context()
-                  .SaveSnapshotShards(dir.File("donor"), 2,
-                                      SnapshotFormat::kArena)
-                  .ok());
-  const std::vector<double> cold_estimates = AllEstimates(cold, workload);
-
-  // Splice the arena shard 1 into the v2 manifest: replace the file bytes
-  // and patch that entry's size/hash so the manifest stays consistent.
-  auto manifest = ReadShardManifest(dir.File("mix"));
-  ASSERT_TRUE(manifest.ok()) << manifest.status();
-  ASSERT_EQ(manifest->shards.size(), 2u);
-  const std::string donor_bytes = ReadAll(dir.File("donor.shard1"));
-  WriteAll(dir.File("mix.shard1"), donor_bytes);
-  manifest->shards[1].bytes = donor_bytes.size();
-  manifest->shards[1].hash = util::StableHash64(donor_bytes);
-  RewriteManifestTail(dir.File("mix"), *manifest);
-
-  EXPECT_FALSE(IsArenaSnapshot(dir.File("mix.shard0")));
-  EXPECT_TRUE(IsArenaSnapshot(dir.File("mix.shard1")));
-
-  EstimationEngine warm(g);
-  EstimationContext::SnapshotLoadReport report;
-  auto loaded = warm.context().LoadSnapshot(dir.File("mix"), &report);
-  ASSERT_TRUE(loaded.ok()) << loaded;
-  EXPECT_TRUE(report.mapped);  // the arena shard attached in place
-  EXPECT_EQ(report.mapped_bytes, donor_bytes.size());
   ExpectBitIdentical(AllEstimates(warm, workload), cold_estimates);
 }
 
@@ -630,7 +562,7 @@ TEST(ArenaSnapshotTest, DeltasAfterMappedLoadMatchColdRebuild) {
     EstimationEngine base(g);
     Prewarm(base, workload);
     ASSERT_TRUE(base.context()
-                    .SaveSnapshot(dir.File("v3.snap"), SnapshotFormat::kArena)
+                    .SaveSnapshot(dir.File("v3.snap"))
                     .ok());
   }
 
@@ -661,7 +593,7 @@ TEST(ArenaSnapshotTest, StaleArenaLoadReplaysToColdEquivalence) {
     EstimationEngine base(g);
     Prewarm(base, workload);
     ASSERT_TRUE(base.context()
-                    .SaveSnapshot(dir.File("v3.snap"), SnapshotFormat::kArena)
+                    .SaveSnapshot(dir.File("v3.snap"))
                     .ok());
   }
 
@@ -674,6 +606,7 @@ TEST(ArenaSnapshotTest, StaleArenaLoadReplaysToColdEquivalence) {
   ASSERT_TRUE(loaded.ok()) << loaded;
   EXPECT_TRUE(report.stale);
   EXPECT_FALSE(report.mapped);  // stale loads go through the memo caches
+  EXPECT_EQ(report.mapped_bytes, 0u);  // and leave nothing mapped
   EXPECT_EQ(report.snapshot_epoch, 0u);
   EXPECT_GT(report.replayed_deltas, 0u);
 
@@ -698,7 +631,7 @@ TEST(ArenaSnapshotTest, ArenaEmbedsReplayableDeltaLog) {
   Prewarm(producer, workload);
   ASSERT_TRUE(producer.ApplyDeltas(batch).ok());
   ASSERT_TRUE(producer.context()
-                  .SaveSnapshot(dir.File("v3.snap"), SnapshotFormat::kArena)
+                  .SaveSnapshot(dir.File("v3.snap"))
                   .ok());
 
   auto log = ReadSnapshotDeltaLog(dir.File("v3.snap"));

@@ -303,7 +303,7 @@ TEST(FeedbackSnapshotTest, CorrectionsSurviveSaveLoadBitIdentically) {
   EXPECT_TRUE(b[0].active);
 }
 
-TEST(FeedbackSnapshotTest, ArenaFormatCarriesTheFeedbackSection) {
+TEST(FeedbackSnapshotTest, SnapshotCarriesTheFeedbackSection) {
   const graph::Graph g = SmallGraph();
   TempFile file("feedback_arena");
 
@@ -312,9 +312,7 @@ TEST(FeedbackSnapshotTest, ArenaFormatCarriesTheFeedbackSection) {
     cold.context().feedback_store().Record("molp|P2|0,1", "path2", 3.0,
                                            300.0);
   }
-  ASSERT_TRUE(cold.context()
-                  .SaveSnapshot(file.path(), engine::SnapshotFormat::kArena)
-                  .ok());
+  ASSERT_TRUE(cold.context().SaveSnapshot(file.path()).ok());
 
   auto info = engine::ReadSnapshotInfo(file.path());
   ASSERT_TRUE(info.ok()) << info.status();
@@ -325,7 +323,7 @@ TEST(FeedbackSnapshotTest, ArenaFormatCarriesTheFeedbackSection) {
       EXPECT_EQ(section.entries, 1u);
     }
   }
-  EXPECT_TRUE(found) << "arena snapshot carries the feedback section";
+  EXPECT_TRUE(found) << "snapshot carries the feedback section";
 
   engine::EstimationEngine warm(g);
   ASSERT_TRUE(warm.context().LoadSnapshot(file.path()).ok());

@@ -198,12 +198,15 @@ TEST(ShardTest, PartialShardLoadStaysCorrectAndLoadsFewerEntries) {
   const std::string manifest = dir.File("stats.manifest");
   ASSERT_TRUE(cold.context().SaveSnapshotShards(manifest, 4).ok());
 
-  // A fleet process loads only shard 2: fewer resident entries than the
-  // union, but estimates recompute lazily to the same values.
+  // A fleet process loads only shard 2: fewer entries than the union
+  // (counted once the mapped indexes are copied into the memo caches),
+  // but estimates recompute lazily to the same values.
   EstimationContext partial(g);
   ASSERT_TRUE(partial.LoadSnapshotShards(manifest, {2}, nullptr).ok());
+  ASSERT_TRUE(partial.MaterializeMappedIndexes().ok());
   EstimationContext full(g);
   ASSERT_TRUE(full.LoadSnapshotShards(manifest, {}, nullptr).ok());
+  ASSERT_TRUE(full.MaterializeMappedIndexes().ok());
 
   size_t partial_entries = 0, full_entries = 0;
   for (const auto& cs : partial.CollectCacheStats()) {
@@ -331,107 +334,104 @@ TEST(ShardTest, CorruptShardFileIsRejectedByContentHash) {
       << loaded.message();
 }
 
+/// A hand-crafted manifest at `path`: header fields (fingerprint, options)
+/// are zero, the common file is `common` and the shard table lists `ids`
+/// (each entry's file named "shard<id>", sizes and hashes zero).
+void WriteManifest(const std::string& path, uint32_t snapshot_version,
+                   uint32_t num_shards, const std::string& common,
+                   const std::vector<uint32_t>& ids) {
+  util::serde::Writer w;
+  w.WriteRaw(std::string_view(kShardManifestMagic, 8));
+  w.WriteU32(kShardManifestVersion);
+  for (int i = 0; i < 3; ++i) w.WriteU32(0);  // fingerprint u32 triple
+  w.WriteU64(0);                              // num_edges
+  w.WriteU64(0);                              // edge_hash
+  for (int i = 0; i < 2; ++i) w.WriteU32(0);  // options u32 pair
+  w.WriteU64(0);                              // materialize cap
+  for (int i = 0; i < 3; ++i) w.WriteU32(0);  // cc sampling
+  w.WriteU64(0);                              // cc seed
+  w.WriteU32(snapshot_version);
+  w.WriteU32(num_shards);
+  w.WriteString(common);
+  w.WriteU64(0);
+  w.WriteU64(0);
+  w.WriteU32(static_cast<uint32_t>(ids.size()));
+  for (const uint32_t id : ids) {
+    w.WriteU32(id);
+    w.WriteString("shard" + std::to_string(id));
+    w.WriteU64(0);
+    w.WriteU64(0);
+  }
+  std::ofstream out(path, std::ios::binary);
+  out.write(w.buffer().data(),
+            static_cast<std::streamsize>(w.buffer().size()));
+}
+
+/// The message of a failed manifest read; empty if the read succeeded.
+std::string ManifestError(const std::string& path) {
+  auto manifest = ReadShardManifest(path);
+  EXPECT_FALSE(manifest.ok()) << path;
+  if (manifest.ok()) return "";
+  EXPECT_EQ(manifest.status().code(), util::StatusCode::kInvalidArgument);
+  return manifest.status().message();
+}
+
 TEST(ShardTest, HandCraftedManifestRejectsOverlapGapAndRange) {
   TempDir dir("craft");
-  // Header fields (fingerprint/options) are irrelevant: the shard-table
-  // validation runs before any file is opened.
-  auto write_manifest = [&](const std::string& name,
-                            uint32_t num_shards,
-                            const std::vector<uint32_t>& ids) {
-    util::serde::Writer w;
-    w.WriteRaw(std::string_view(kShardManifestMagic, 8));
-    w.WriteU32(kShardManifestVersion);
-    for (int i = 0; i < 3; ++i) w.WriteU32(0);  // fingerprint u32 triple
-    w.WriteU64(0);                              // num_edges
-    w.WriteU64(0);                              // edge_hash
-    for (int i = 0; i < 2; ++i) w.WriteU32(0);  // options u32 pair
-    w.WriteU64(0);                              // materialize cap
-    for (int i = 0; i < 3; ++i) w.WriteU32(0);  // cc sampling
-    w.WriteU64(0);                              // cc seed
-    w.WriteU32(kSnapshotVersionStatic);
-    w.WriteU32(num_shards);
-    w.WriteString("common");
-    w.WriteU64(0);
-    w.WriteU64(0);
-    w.WriteU32(static_cast<uint32_t>(ids.size()));
-    for (const uint32_t id : ids) {
-      w.WriteU32(id);
-      w.WriteString("shard" + std::to_string(id));
-      w.WriteU64(0);
-      w.WriteU64(0);
-    }
-    const std::string path = dir.File(name);
-    std::ofstream out(path, std::ios::binary);
-    out.write(w.buffer().data(),
-              static_cast<std::streamsize>(w.buffer().size()));
-    return path;
+  // The shard-table validation runs before any file is opened, and a
+  // well-formed table passes it: each rejection below names its own cause.
+  const auto craft = [&](const std::string& name, uint32_t version,
+                         uint32_t num_shards,
+                         const std::vector<uint32_t>& ids) {
+    WriteManifest(dir.File(name), version, num_shards, "common", ids);
+    return dir.File(name);
   };
+  EXPECT_TRUE(
+      ReadShardManifest(craft("ok", kSnapshotVersionArena, 2, {1, 0})).ok());
 
-  auto overlap = ReadShardManifest(write_manifest("overlap", 2, {0, 0}));
-  ASSERT_FALSE(overlap.ok());
-  EXPECT_NE(overlap.status().message().find("more than once"),
+  EXPECT_NE(ManifestError(craft("overlap", kSnapshotVersionArena, 2, {0, 0}))
+                .find("more than once"),
+            std::string::npos);
+  EXPECT_NE(ManifestError(craft("gap", kSnapshotVersionArena, 2, {0}))
+                .find("missing shard 1"),
+            std::string::npos);
+  EXPECT_NE(ManifestError(craft("range", kSnapshotVersionArena, 2, {0, 5}))
+                .find("out of range"),
             std::string::npos);
 
-  auto gap = ReadShardManifest(write_manifest("gap", 2, {0}));
-  ASSERT_FALSE(gap.ok());
-  EXPECT_NE(gap.status().message().find("missing shard 1"),
-            std::string::npos);
-
-  auto range = ReadShardManifest(write_manifest("range", 2, {0, 5}));
-  ASSERT_FALSE(range.ok());
-  EXPECT_NE(range.status().message().find("out of range"),
-            std::string::npos);
+  // Manifests naming the retired container versions are rejected by name.
+  for (const uint32_t retired : {1u, 2u}) {
+    const std::string message = ManifestError(
+        craft("v" + std::to_string(retired), retired, 2, {0, 1}));
+    EXPECT_NE(message.find("unsupported snapshot version " +
+                           std::to_string(retired)),
+              std::string::npos)
+        << message;
+  }
 }
 
 TEST(ShardTest, SelfReferentialManifestIsRejectedNotRecursedInto) {
   TempDir dir("selfref");
   // A crafted manifest whose common entry names the manifest file itself:
-  // delta-log resolution must fail cleanly (manifests cannot nest), not
-  // recurse until the stack dies; the shard load path additionally fails
-  // the content-hash check.
-  util::serde::Writer w;
-  w.WriteRaw(std::string_view(kShardManifestMagic, 8));
-  w.WriteU32(kShardManifestVersion);
-  for (int i = 0; i < 3; ++i) w.WriteU32(0);
-  w.WriteU64(0);
-  w.WriteU64(0);
-  for (int i = 0; i < 2; ++i) w.WriteU32(0);
-  w.WriteU64(0);
-  for (int i = 0; i < 3; ++i) w.WriteU32(0);
-  w.WriteU64(0);
-  w.WriteU32(kSnapshotVersionStatic);
-  w.WriteU32(1);
-  w.WriteString("evil");  // the manifest's own file name
-  w.WriteU64(0);
-  w.WriteU64(0);
-  w.WriteU32(1);
-  w.WriteU32(0);
-  w.WriteString("evil");
-  w.WriteU64(0);
-  w.WriteU64(0);
+  // delta-log resolution and the shard load must both fail cleanly on the
+  // nesting (checked before the file is mapped or hashed), never recurse.
   const std::string path = dir.File("evil");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out.write(w.buffer().data(),
-              static_cast<std::streamsize>(w.buffer().size()));
-  }
+  WriteManifest(path, kSnapshotVersionArena, 1, "evil", {0});
+  ASSERT_TRUE(ReadShardManifest(path).ok());
 
-  // The integrity pass rejects it before the nesting check can even
-  // trigger (a manifest cannot record a valid hash of a file that
-  // contains that hash); either way the result is a clean
-  // InvalidArgument, never recursion.
   auto log = ReadSnapshotDeltaLog(path);
   ASSERT_FALSE(log.ok());
   EXPECT_EQ(log.status().code(), util::StatusCode::kInvalidArgument);
-  const std::string message = log.status().message();
-  EXPECT_TRUE(message.find("cannot nest") != std::string::npos ||
-              message.find("does not match its manifest entry") !=
-                  std::string::npos)
+  EXPECT_NE(log.status().message().find("cannot nest"), std::string::npos)
       << log.status();
 
   const graph::Graph g = SmallGraph();
   EstimationContext context(g);
-  EXPECT_FALSE(context.LoadSnapshot(path).ok());
+  auto loaded = context.LoadSnapshot(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.message().find("cannot nest"), std::string::npos)
+      << loaded;
 }
 
 TEST(ShardTest, RequestedShardSetIsValidated) {

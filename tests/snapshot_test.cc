@@ -1,7 +1,7 @@
 // Tests for the persistent summary-snapshot layer: Prewarm → SaveSnapshot →
 // LoadSnapshot round-trips reproduce bit-identical estimates for every
-// registry estimator, fingerprint-mismatched and corrupted files are
-// rejected cleanly, and the markov(h) validation satellite holds.
+// registry estimator, fingerprint-mismatched, corrupted and retired-format
+// files are rejected cleanly, and the markov(h) validation satellite holds.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,11 +13,13 @@
 #include <string>
 #include <vector>
 
+#include "dynamic/delta_graph.h"
 #include "engine/engine.h"
 #include "engine/snapshot.h"
 #include "graph/generators.h"
 #include "query/templates.h"
 #include "query/workload.h"
+#include "util/arena.h"
 #include "util/serde.h"
 
 namespace cegraph::engine {
@@ -155,12 +157,12 @@ TEST(SnapshotTest, InspectReportsSections) {
 
   auto info = ReadSnapshotInfo(file.path());
   ASSERT_TRUE(info.ok()) << info.status();
-  // A context that never applied deltas writes the static (version 1)
-  // format; version 2 is reserved for post-delta snapshots.
-  EXPECT_EQ(info->version, kSnapshotVersionStatic);
+  EXPECT_EQ(info->version, kSnapshotVersionArena);
   EXPECT_EQ(info->fingerprint, g.fingerprint());
+  EXPECT_EQ(info->current_fingerprint, g.fingerprint());
   EXPECT_EQ(info->epoch, 0u);
-  EXPECT_GE(info->sections.size(), 5u);  // markov, rates, degree, cs, sumrdf
+  // meta, markov, rates, degree bases + joins, cs, sumrdf
+  EXPECT_GE(info->sections.size(), 7u);
   bool saw_markov = false;
   for (const auto& section : info->sections) {
     if (section.name == "markov") {
@@ -215,6 +217,28 @@ TEST(SnapshotTest, OptionsMismatchRejected) {
   EXPECT_TRUE(compatible.context().LoadSnapshot(file.path()).ok());
 }
 
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return std::move(buffer).str();
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Nothing of a failed load may remain in `context`: no memo entries and
+/// no attached indexes.
+void ExpectUntouched(const EstimationContext& context) {
+  EXPECT_EQ(context.markov().num_entries(), 0u);
+  EXPECT_EQ(context.cycle_closing_rates().num_cached(), 0u);
+  EXPECT_EQ(context.markov().num_mapped_indexes(), 0u);
+  EXPECT_EQ(context.cycle_closing_rates().num_mapped_indexes(), 0u);
+  EXPECT_EQ(context.stats_catalog().num_mapped_indexes(), 0u);
+}
+
 TEST(SnapshotTest, CorruptedFilesRejected) {
   const graph::Graph g = SmallGraph();
   const auto workload = SmallWorkload(g);
@@ -222,57 +246,94 @@ TEST(SnapshotTest, CorruptedFilesRejected) {
   EstimationEngine engine(g);
   engine.context().Prewarm(workload);
   ASSERT_TRUE(engine.context().SaveSnapshot(file.path()).ok());
+  const std::string bytes = ReadBytes(file.path());
 
-  std::string bytes;
-  {
-    std::ifstream in(file.path(), std::ios::binary);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    bytes = std::move(buffer).str();
-  }
-  auto write_variant = [&](const std::string& data) {
-    std::ofstream out(file.path(), std::ios::binary | std::ios::trunc);
-    out.write(data.data(), static_cast<std::streamsize>(data.size()));
-  };
-
-  // Truncation at several depths: header, section table, mid-payload. A
+  // Truncation at several depths: header, section table, mid-payload, and
+  // the last payload (8 bytes always reach past its alignment padding). A
   // failed load must also leave the context untouched (no partially
-  // imported sections), per the two-phase apply in LoadSnapshot.
+  // imported or attached sections), per the stage-then-apply load.
   for (size_t keep : {size_t{4}, size_t{20}, bytes.size() / 2,
-                      bytes.size() - 3}) {
-    write_variant(bytes.substr(0, keep));
+                      bytes.size() - 8}) {
+    WriteBytes(file.path(), bytes.substr(0, keep));
     EstimationEngine fresh(g);
     auto loaded = fresh.context().LoadSnapshot(file.path());
     EXPECT_FALSE(loaded.ok()) << "kept " << keep << " of " << bytes.size();
-    EXPECT_EQ(fresh.context().markov().num_entries(), 0u);
-    EXPECT_EQ(fresh.context().cycle_closing_rates().num_cached(), 0u);
+    ExpectUntouched(fresh.context());
   }
 
   // Bad magic.
   {
     std::string bad = bytes;
     bad[0] = 'X';
-    write_variant(bad);
+    WriteBytes(file.path(), bad);
     EstimationEngine fresh(g);
     auto loaded = fresh.context().LoadSnapshot(file.path());
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.code(), util::StatusCode::kInvalidArgument);
   }
 
-  // Unsupported version.
+  // Unsupported container version (the u32 after magic and endian word).
   {
     std::string bad = bytes;
-    bad[8] = 99;
-    write_variant(bad);
+    bad[12] = 99;
+    WriteBytes(file.path(), bad);
     EstimationEngine fresh(g);
     EXPECT_FALSE(fresh.context().LoadSnapshot(file.path()).ok());
   }
 
-  // Trailing garbage after the last section.
+  // A stale load materializes every index into the memo caches, so it is
+  // the path where a late defect could leave earlier sections merged.
+  // Corrupt the first value of the last index section (the two-join
+  // catalog: flipping its has_stats byte breaks the value's decode, which
+  // only the full walk sees) and load into a drifted context.
   {
-    write_variant(bytes + "garbage");
-    EstimationEngine fresh(g);
-    EXPECT_FALSE(fresh.context().LoadSnapshot(file.path()).ok());
+    auto arena = util::MappedArena::FromBytes(bytes);
+    ASSERT_TRUE(arena.ok()) << arena.status();
+    const util::MappedArena::Section* joins = (*arena)->FindSection(
+        static_cast<uint32_t>(SnapshotSection::kDegreeJoins));
+    ASSERT_NE(joins, nullptr);
+    for (const auto id : {SnapshotSection::kMarkov,
+                          SnapshotSection::kClosingRates,
+                          SnapshotSection::kDegreeCatalog}) {
+      const auto* earlier =
+          (*arena)->FindSection(static_cast<uint32_t>(id));
+      ASSERT_NE(earlier, nullptr);
+      ASSERT_LT(earlier->offset, joins->offset);
+    }
+    ASSERT_EQ((*arena)->FindSection(
+                  static_cast<uint32_t>(SnapshotSection::kDispersion)),
+              nullptr);
+    auto index = util::MappedIndex::Attach((*arena)->SectionBytes(*joins));
+    ASSERT_TRUE(index.ok()) << index.status();
+    ASSERT_GT(index->num_entries(), 0u);
+    size_t value_at = 0;
+    ASSERT_TRUE(index
+                    ->Visit([&](std::string_view, std::string_view value) {
+                      if (value_at == 0) {
+                        value_at = static_cast<size_t>(
+                            value.data() - (*arena)->bytes().data());
+                      }
+                    })
+                    .ok());
+    std::string bad = bytes;
+    bad[value_at] ^= 1;
+    WriteBytes(file.path(), bad);
+
+    EstimationEngine drifted(g);
+    ASSERT_TRUE(drifted
+                    .ApplyDeltas({{g.edges()[0], dynamic::DeltaOp::kDelete},
+                                  {g.edges()[1], dynamic::DeltaOp::kDelete}})
+                    .ok());
+    EstimationContext::SnapshotLoadReport report;
+    auto loaded = drifted.context().LoadSnapshot(file.path(), &report);
+    ASSERT_FALSE(loaded.ok());
+    ExpectUntouched(drifted.context());
+
+    // The pristine file takes the stale path in the same context.
+    WriteBytes(file.path(), bytes);
+    ASSERT_TRUE(drifted.context().LoadSnapshot(file.path(), &report).ok());
+    EXPECT_TRUE(report.stale);
+    EXPECT_GT(drifted.context().markov().num_entries(), 0u);
   }
 }
 
@@ -283,34 +344,51 @@ TEST(SnapshotTest, UnknownSectionsAreSkipped) {
   EstimationEngine engine(g);
   engine.context().Prewarm(workload);
   ASSERT_TRUE(engine.context().SaveSnapshot(file.path()).ok());
+  const std::vector<double> cold_estimates = AllEstimates(engine, workload);
 
-  // Append a section with an id from the future by rewriting the file:
-  // bump the section count and append {id=999, payload}.
-  std::string bytes;
-  {
-    std::ifstream in(file.path(), std::ios::binary);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    bytes = std::move(buffer).str();
+  // Re-encode the file with a section id from the future appended.
+  auto arena = util::MappedArena::FromBytes(ReadBytes(file.path()));
+  ASSERT_TRUE(arena.ok()) << arena.status();
+  util::ArenaBuilder builder;
+  for (const util::MappedArena::Section& s : (*arena)->sections()) {
+    builder.AddSection(s.id, std::string((*arena)->SectionBytes(s)));
   }
-  // Section count lives after magic(8) + version(4) + fingerprint(28) +
-  // options block(36) = offset 76.
-  const size_t count_offset = 76;
-  bytes[count_offset] = static_cast<char>(bytes[count_offset] + 1);
-  util::serde::Writer extra;
-  extra.WriteU32(999);
-  extra.WriteU64(5);
-  extra.WriteRaw("hello");
-  bytes += extra.buffer();
-  {
-    std::ofstream out(file.path(), std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
+  builder.AddSection(999, "hello");
+  WriteBytes(file.path(), builder.Finish());
 
   EstimationEngine fresh(g);
   auto loaded = fresh.context().LoadSnapshot(file.path());
-  EXPECT_TRUE(loaded.ok()) << loaded;
-  EXPECT_GT(fresh.context().markov().num_entries(), 0u);
+  ASSERT_TRUE(loaded.ok()) << loaded;
+  // Fresh loads attach the indexes rather than fill the memo, so the
+  // estimates are the evidence the known sections still loaded.
+  EXPECT_GT(fresh.context().markov().num_mapped_indexes(), 0u);
+  ExpectBitIdentical(AllEstimates(fresh, workload), cold_estimates);
+}
+
+TEST(SnapshotTest, RetiredContainerIsRejected) {
+  // The serde-parsed container (magic "CEGSNAP1", versions 1 and 2) is no
+  // longer read: every entry point fails cleanly on it.
+  TempFile file("retired");
+  util::serde::Writer legacy;
+  legacy.WriteRaw("CEGSNAP1");
+  legacy.WriteU32(1);
+  legacy.WriteRaw(std::string(64, '\0'));  // fingerprint, options, count
+  WriteBytes(file.path(), legacy.buffer());
+
+  const graph::Graph g = SmallGraph();
+  EstimationEngine engine(g);
+  auto loaded = engine.context().LoadSnapshot(file.path());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.code(), util::StatusCode::kInvalidArgument) << loaded;
+  EXPECT_NE(loaded.message().find("bad magic"), std::string::npos) << loaded;
+
+  auto info = ReadSnapshotInfo(file.path());
+  ASSERT_FALSE(info.ok());
+  EXPECT_EQ(info.status().code(), util::StatusCode::kInvalidArgument);
+
+  auto log = ReadSnapshotDeltaLog(file.path());
+  ASSERT_FALSE(log.ok());
+  EXPECT_EQ(log.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 TEST(SnapshotTest, MissingFileIsNotFound) {
@@ -328,7 +406,8 @@ TEST(SnapshotTest, SaveBeforeAnyStatsWritesEmptySnapshot) {
   ASSERT_TRUE(engine.context().SaveSnapshot(file.path()).ok());
   auto info = ReadSnapshotInfo(file.path());
   ASSERT_TRUE(info.ok());
-  EXPECT_TRUE(info->sections.empty());
+  ASSERT_EQ(info->sections.size(), 1u);  // just the header
+  EXPECT_EQ(info->sections[0].name, "arena-meta");
   // And an empty snapshot loads as a no-op.
   EstimationEngine fresh(g);
   EXPECT_TRUE(fresh.context().LoadSnapshot(file.path()).ok());

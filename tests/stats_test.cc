@@ -381,15 +381,8 @@ void ExpectMatchesReference(const Graph& g, uint64_t seed) {
   auto mapped = CharacteristicSets::AttachMapped(arena, nullptr,
                                                  g.num_labels());
   ASSERT_TRUE(mapped.ok()) << mapped.status();
-  util::serde::Writer w;
-  owned.Save(w);
-  util::serde::Reader r(w.buffer());
-  auto loaded = CharacteristicSets::Load(r, g.num_labels());
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->SaveArena(), arena);
 
-  const std::vector<const CharacteristicSets*> backings = {&owned, &*mapped,
-                                                          &*loaded};
+  const std::vector<const CharacteristicSets*> backings = {&owned, &*mapped};
   double sum_vertices = 0;
   for (const RefGroup& group : ref) {
     sum_vertices += static_cast<double>(group.vertex_count);

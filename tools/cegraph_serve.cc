@@ -362,7 +362,7 @@ int main(int argc, char** argv) {
   }
 
   // Startup snapshot-load breakdown: how each dataset's artifact was
-  // opened (mmap + attach for arena files, read + parse for v1/v2), what
+  // opened (mmap + attach when fresh, mmap + materialize when stale), what
   // each phase cost, and the per-section weight behind it. The same
   // numbers are scraped remotely through the stats frame.
   for (const auto& [name, path] : snapshot_paths) {

@@ -73,7 +73,6 @@ int Usage() {
       "  cegraph_stats build --dataset <name> --out <file>\n"
       "      [--suite NAME | --workload FILE] [--instances N] [--seed S]\n"
       "      [--markov-h H] [--threads T] [--dispersion]\n"
-      "      [--format v2|arena]\n"
       "  cegraph_stats inspect <file> [--dataset <name>]\n"
       "  cegraph_stats verify --dataset <name>\n"
       "      (--snapshot <file> | --manifest <file> | both)\n"
@@ -83,7 +82,7 @@ int Usage() {
       "      (--deltas FILE | --random N) [--out <file>] [--seed S]\n"
       "      [--markov-h H]\n"
       "  cegraph_stats shard --dataset <name> --snapshot <file>\n"
-      "      --shards N --out <manifest> [--markov-h H] [--format v2|arena]\n"
+      "      --shards N --out <manifest> [--markov-h H]\n"
       "  cegraph_stats workload --dataset <name> --out <file>\n"
       "      [--suite NAME] [--instances N] [--seed S]\n"
       "  cegraph_stats deltas --dataset <name> --random N --out <file>\n"
@@ -112,11 +111,25 @@ void PrintCacheStats(const engine::EstimationContext& context) {
   }
 }
 
-/// Loads `path` into `context`, reconstructing post-delta (version 2)
-/// snapshots when needed: if the fingerprints mismatch because the
+/// Copies the loaded arena indexes into `context`'s memo caches. False
+/// after printing the error.
+bool Materialize(const engine::EstimationContext& context) {
+  auto materialized = context.MaterializeMappedIndexes();
+  if (!materialized.ok()) {
+    std::fprintf(stderr, "materialize: %s\n",
+                 materialized.ToString().c_str());
+  }
+  return materialized.ok();
+}
+
+/// Loads `path` into `context`, reconstructing post-delta snapshots when
+/// needed: if the fingerprints mismatch because the
 /// context sits at the snapshot's *base* graph, the snapshot's embedded
-/// delta log is applied first and the load retried as a fresh load.
-/// Prints what happened; false (after printing the error) on failure.
+/// delta log is applied first and the load retried as a fresh load. The
+/// loaded indexes are then copied into the memo caches: re-export (shard,
+/// refresh --out) and delta migration see only memo entries, and the
+/// residency inspect prints then counts what the file carried. Prints
+/// what happened; false (after printing the error) on failure.
 bool LoadIntoContext(engine::EstimationContext& context,
                      const std::string& path) {
   engine::EstimationContext::SnapshotLoadReport report;
@@ -124,7 +137,7 @@ bool LoadIntoContext(engine::EstimationContext& context,
   if (loaded.ok()) {
     std::printf("loaded %s (%s)\n", path.c_str(),
                 report.stale ? "stale, deltas replayed" : "fresh");
-    return true;
+    return Materialize(context);
   }
   if (loaded.code() == util::StatusCode::kFailedPrecondition) {
     auto log = engine::ReadSnapshotDeltaLog(path);
@@ -136,7 +149,7 @@ bool LoadIntoContext(engine::EstimationContext& context,
           std::printf("loaded %s (reconstructed: replayed %zu embedded "
                       "deltas onto the base graph)\n",
                       path.c_str(), log->size());
-          return true;
+          return Materialize(context);
         }
       }
     }
@@ -192,7 +205,7 @@ bool ParseFlags(int argc, char** argv, int start, CommonFlags* flags,
     } else if (arg == "--out" || arg == "--snapshot" ||
                arg == "--estimators" || arg == "--deltas" ||
                arg == "--random" || arg == "--manifest" ||
-               arg == "--shards" || arg == "--format") {
+               arg == "--shards") {
       if (!next(&value)) return false;
       extra->emplace_back(arg, value);
     } else {
@@ -265,34 +278,18 @@ engine::ContextOptions ContextOptionsFor(const CommonFlags& flags) {
   return options;
 }
 
-/// Maps a --format value to an on-disk snapshot format; nullopt (after
-/// printing the offender) on anything unknown. Empty means v2 — the
-/// parse-on-load format stays the default until arena files are the norm.
-std::optional<engine::SnapshotFormat> ParseFormat(const std::string& value) {
-  if (value.empty() || value == "v2") return engine::SnapshotFormat::kV2;
-  if (value == "arena" || value == "v3") {
-    return engine::SnapshotFormat::kArena;
-  }
-  std::fprintf(stderr, "--format must be v2 or arena, got %s\n",
-               value.c_str());
-  return std::nullopt;
-}
-
 int RunBuild(int argc, char** argv) {
   CommonFlags flags;
   std::vector<std::pair<std::string, std::string>> extra;
   if (!ParseFlags(argc, argv, 2, &flags, &extra)) return Usage();
-  std::string out_path, format_value;
+  std::string out_path;
   for (const auto& [flag, value] : extra) {
     if (flag == "--out") out_path = value;
-    if (flag == "--format") format_value = value;
   }
   if (out_path.empty()) {
     std::fprintf(stderr, "build requires --out\n");
     return Usage();
   }
-  auto format = ParseFormat(format_value);
-  if (!format) return Usage();
 
   auto inputs = MakeInputs(flags);
   if (!inputs) return 1;
@@ -317,7 +314,7 @@ int RunBuild(int argc, char** argv) {
               report.base_relations, report.closing_keys,
               report.dispersion_pairs, report.seconds);
 
-  auto save = context.SaveSnapshot(out_path, *format);
+  auto save = context.SaveSnapshot(out_path);
   if (!save.ok()) {
     std::fprintf(stderr, "save: %s\n", save.ToString().c_str());
     return 1;
@@ -327,10 +324,8 @@ int RunBuild(int argc, char** argv) {
     std::fprintf(stderr, "re-read: %s\n", info.status().ToString().c_str());
     return 1;
   }
-  std::printf("wrote %s (%s): %" PRIu64 " bytes, %zu sections\n",
-              out_path.c_str(),
-              *format == engine::SnapshotFormat::kArena ? "arena" : "v2",
-              info->file_bytes, info->sections.size());
+  std::printf("wrote %s: %" PRIu64 " bytes, %zu sections\n",
+              out_path.c_str(), info->file_bytes, info->sections.size());
   return 0;
 }
 
@@ -392,9 +387,8 @@ int RunInspect(int argc, char** argv) {
                  info.status().ToString().c_str());
     return 1;
   }
-  const bool arena = info->version == engine::kSnapshotVersionArena;
-  std::printf("snapshot %s (version %u%s, %" PRIu64 " bytes)\n", argv[2],
-              info->version, arena ? " arena" : "", info->file_bytes);
+  std::printf("snapshot %s (version %u, %" PRIu64 " bytes)\n", argv[2],
+              info->version, info->file_bytes);
   std::printf("fingerprint: %u vertices, %u labels, %u vertex labels, "
               "%" PRIu64 " edges, edge hash %016" PRIx64 "\n",
               info->fingerprint.num_vertices, info->fingerprint.num_labels,
@@ -413,28 +407,19 @@ int RunInspect(int argc, char** argv) {
                 "%016" PRIx64 " (statistics describe the post-delta graph)\n",
                 info->epoch, info->delta_hash);
   }
-  // Arena files are served in place, so the byte offset of each mapped
+  // Sections are served in place, so the byte offset of each mapped
   // section is part of the operational surface — print it alongside the
-  // sizes. v2 sections are parsed wholesale; their offsets are noise.
-  if (arena) {
-    std::printf("%-16s %12s %12s %10s\n", "section", "offset", "bytes",
-                "entries");
-  } else {
-    std::printf("%-16s %12s %10s\n", "section", "bytes", "entries");
-  }
+  // sizes.
+  std::printf("%-16s %12s %12s %10s\n", "section", "offset", "bytes",
+              "entries");
   for (const auto& section : info->sections) {
     std::string name = section.name;
     if (section.id == static_cast<uint32_t>(engine::SnapshotSection::kMarkov)) {
       name += "(h=" + std::to_string(section.markov_h) + ")";
     }
-    if (arena) {
-      std::printf("%-16s %12" PRIu64 " %12" PRIu64 " %10" PRIu64 "\n",
-                  name.c_str(), section.offset, section.payload_bytes,
-                  section.entries);
-    } else {
-      std::printf("%-16s %12" PRIu64 " %10" PRIu64 "\n", name.c_str(),
-                  section.payload_bytes, section.entries);
-    }
+    std::printf("%-16s %12" PRIu64 " %12" PRIu64 " %10" PRIu64 "\n",
+                name.c_str(), section.offset, section.payload_bytes,
+                section.entries);
   }
 
   // With a dataset in hand, load the snapshot into a live context and show
@@ -535,8 +520,7 @@ int RunRefresh(int argc, char** argv) {
       std::fprintf(stderr, "save: %s\n", save.ToString().c_str());
       return 1;
     }
-    std::printf("wrote refreshed snapshot %s (version 2, epoch %" PRIu64
-                ")\n",
+    std::printf("wrote refreshed snapshot %s (epoch %" PRIu64 ")\n",
                 out_path.c_str(), fp.epoch);
   }
   return 0;
@@ -637,13 +621,12 @@ int RunShard(int argc, char** argv) {
   CommonFlags flags;
   std::vector<std::pair<std::string, std::string>> extra;
   if (!ParseFlags(argc, argv, 2, &flags, &extra)) return Usage();
-  std::string snapshot_path, out_path, format_value;
+  std::string snapshot_path, out_path;
   int num_shards = 0;
   for (const auto& [flag, value] : extra) {
     if (flag == "--snapshot") snapshot_path = value;
     if (flag == "--out") out_path = value;
     if (flag == "--shards") num_shards = std::atoi(value.c_str());
-    if (flag == "--format") format_value = value;
   }
   if (snapshot_path.empty() || out_path.empty() || flags.dataset.empty() ||
       num_shards < 1) {
@@ -652,8 +635,6 @@ int RunShard(int argc, char** argv) {
                  "and --out MANIFEST\n");
     return Usage();
   }
-  auto format = ParseFormat(format_value);
-  if (!format) return Usage();
 
   auto g = graph::MakeDataset(flags.dataset);
   if (!g.ok()) {
@@ -661,13 +642,13 @@ int RunShard(int argc, char** argv) {
                  g.status().ToString().c_str());
     return 1;
   }
-  // Loading a monolithic snapshot into a fresh context is lossless for
+  // Loading (and materializing) a monolithic snapshot is lossless for
   // every keyed cache, so re-exporting with a shard filter partitions
   // exactly the entries the snapshot carried.
   engine::EstimationContext context(*g, ContextOptionsFor(flags));
   if (!LoadIntoContext(context, snapshot_path)) return 1;
-  auto saved = context.SaveSnapshotShards(
-      out_path, static_cast<uint32_t>(num_shards), *format);
+  auto saved = context.SaveSnapshotShards(out_path,
+                                          static_cast<uint32_t>(num_shards));
   if (!saved.ok()) {
     std::fprintf(stderr, "shard: %s\n", saved.ToString().c_str());
     return 1;
