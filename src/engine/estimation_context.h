@@ -317,8 +317,10 @@ class EstimationContext {
     /// Time opening + validating the container(s): mmap and header/index
     /// checks for arenas, file reads and manifest hash checks for shards.
     double map_millis = 0;
-    /// Time parsing/merging/attaching sections into the context.
-    double parse_millis = 0;
+    /// Time applying the sections to the context: attaching the indexes
+    /// (fresh loads) or materializing them and replaying the missing
+    /// deltas (stale loads).
+    double materialize_millis = 0;
   };
 
   /// Persists the same statistics as a *sharded* snapshot: a manifest at

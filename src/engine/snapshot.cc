@@ -774,7 +774,7 @@ util::Status EstimationContext::LoadSnapshot(const std::string& path,
   CEGRAPH_RETURN_IF_ERROR(LoadSnapshotArena(*arena, report));
   if (report != nullptr) {
     report->map_millis = map_millis;
-    report->parse_millis = MillisSince(t_apply);
+    report->materialize_millis = MillisSince(t_apply);
   }
   return util::Status::OK();
 }
@@ -1190,7 +1190,7 @@ util::Status EstimationContext::LoadSnapshotShards(
     }
   }
   merged.map_millis = map_millis;
-  merged.parse_millis = MillisSince(t_apply);
+  merged.materialize_millis = MillisSince(t_apply);
   if (report != nullptr) *report = merged;
   return util::Status::OK();
 }

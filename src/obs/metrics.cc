@@ -11,8 +11,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <charconv>
 #include <limits>
 #include <string_view>
+#include <unordered_set>
 
 namespace cegraph::obs {
 
@@ -45,9 +47,14 @@ void AtomicDoubleMax(std::atomic<double>& target, double value) {
   }
 }
 
+/// Shortest exact spelling: integers as integers, everything else with
+/// 17 significant digits (round-trips through strtod bit for bit), and
+/// the text format's own NaN / +Inf / -Inf tokens.
 std::string FormatDouble(double v) {
-  if (v == static_cast<double>(static_cast<int64_t>(v)) &&
-      std::abs(v) < 1e15) {
+  if (std::isnan(v)) return "NaN";
+  if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
+  if (std::abs(v) < 1e15 &&
+      v == static_cast<double>(static_cast<int64_t>(v))) {
     return std::to_string(static_cast<int64_t>(v));
   }
   char buf[64];
@@ -221,6 +228,290 @@ void PromWriter::WriteHistogram(const std::string& name,
   AppendSeries(out_, name + "_sum", labels, FormatDouble(snapshot.sum));
   AppendSeries(out_, name + "_count", labels,
                std::to_string(snapshot.count));
+  AppendSeries(out_, name + "_max", labels, FormatDouble(snapshot.max));
+}
+
+// --- Text-format parsing ----------------------------------------------------
+
+std::string PromLabelEscape(std::string_view value) {
+  std::string out;
+  out.reserve(value.size());
+  for (const char c : value) {
+    if (c == '\\' || c == '"') {
+      out += '\\';
+      out += c;
+    } else if (c == '\n') {
+      out += "\\n";
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
+std::string_view PromSample::Label(std::string_view key) const {
+  for (const auto& [k, v] : labels) {
+    if (k == key) return v;
+  }
+  return {};
+}
+
+namespace {
+
+/// Absent labels read as "", as in Prometheus itself.
+bool Matches(const PromSample& sample, const PromMatch& match) {
+  return std::all_of(match.begin(), match.end(), [&](const auto& pair) {
+    return sample.Label(pair.first) == pair.second;
+  });
+}
+
+/// True when `sample` carries exactly `labels`, not counting its `le`.
+bool SameSeries(const PromSample& sample,
+                const std::vector<std::pair<std::string, std::string>>&
+                    labels) {
+  size_t compared = 0;
+  for (const auto& pair : sample.labels) {
+    if (pair.first == "le") continue;
+    ++compared;
+    if (std::find(labels.begin(), labels.end(), pair) == labels.end()) {
+      return false;
+    }
+  }
+  return compared == labels.size();
+}
+
+/// Consumes a metric (`metric`, colons allowed) or label name at `pos`;
+/// empty when none starts there.
+std::string_view TakeName(std::string_view line, size_t& pos, bool metric) {
+  auto name_char = [metric](char c, bool first) {
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' ||
+           (metric && c == ':') || (!first && c >= '0' && c <= '9');
+  };
+  const size_t start = pos;
+  while (pos < line.size() && name_char(line[pos], pos == start)) ++pos;
+  return line.substr(start, pos - start);
+}
+
+bool ParseValue(std::string_view token, double* out) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  if (token == "+Inf" || token == "-Inf" || token == "NaN") {
+    *out = token == "NaN" ? std::nan("") : token[0] == '+' ? kInf : -kInf;
+    return true;
+  }
+  // from_chars takes no leading '+'; "+-1" must still fail.
+  if (token.size() > 1 && token[0] == '+' && token[1] != '-') {
+    token.remove_prefix(1);
+  }
+  const char* last = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), last, *out);
+  return ec == std::errc() && ptr == last;
+}
+
+/// A non-negative integral count that fits a uint64_t.
+bool ToCount(double value, uint64_t* out) {
+  if (!(value >= 0) || value >= 18446744073709551616.0 ||
+      value != std::floor(value)) {
+    return false;
+  }
+  *out = static_cast<uint64_t>(value);
+  return true;
+}
+
+util::Status ParseSample(std::string_view line, PromSample* sample) {
+  auto bad = [](const char* what) { return util::InvalidArgumentError(what); };
+  size_t pos = 0;
+  sample->name = std::string(TakeName(line, pos, /*metric=*/true));
+  if (sample->name.empty()) return bad("bad metric name");
+  if (pos < line.size() && line[pos] == '{') {
+    ++pos;
+    while (pos >= line.size() || line[pos] != '}') {
+      const std::string key(TakeName(line, pos, /*metric=*/false));
+      if (key.empty()) return bad("bad label name");
+      if (line.substr(pos, 2) != "=\"") return bad("expected =\" after label");
+      pos += 2;
+      std::string value;
+      for (;;) {
+        if (pos >= line.size()) return bad("unterminated label value");
+        const char c = line[pos++];
+        if (c == '"') break;
+        if (c != '\\') {
+          value += c;
+          continue;
+        }
+        const char escaped = pos < line.size() ? line[pos++] : '\0';
+        if (escaped != '\\' && escaped != '"' && escaped != 'n') {
+          return bad("bad escape in label value");
+        }
+        value += escaped == 'n' ? '\n' : escaped;
+      }
+      for (const auto& pair : sample->labels) {
+        if (pair.first == key) return bad("repeated label");
+      }
+      sample->labels.emplace_back(key, std::move(value));
+      if (pos < line.size() && line[pos] == ',') {
+        ++pos;  // a trailing comma before '}' is allowed
+      } else if (pos >= line.size() || line[pos] != '}') {
+        return bad("expected , or } in label set");
+      }
+    }
+    ++pos;  // '}'
+  }
+  if (pos >= line.size() || line[pos++] != ' ') {
+    return bad("expected a space before the value");
+  }
+  const std::string_view rest = line.substr(pos);
+  const size_t space = rest.find(' ');
+  if (!ParseValue(rest.substr(0, space), &sample->value)) {
+    return bad("bad sample value");
+  }
+  if (space != std::string_view::npos) {
+    const std::string_view stamp = rest.substr(space + 1);
+    const char* last = stamp.data() + stamp.size();
+    int64_t millis = 0;
+    const auto [ptr, ec] = std::from_chars(stamp.data(), last, millis);
+    if (stamp.empty() || ec != std::errc() || ptr != last) {
+      return bad("bad timestamp");
+    }
+  }
+  return util::Status::OK();
+}
+
+/// An injective key for duplicate-series detection: the name plus the
+/// sorted label pairs, every field length-prefixed.
+std::string SeriesKey(const PromSample& sample) {
+  auto sorted = sample.labels;
+  std::sort(sorted.begin(), sorted.end());
+  std::string key = std::to_string(sample.name.size()) + ':' + sample.name;
+  for (const auto& [k, v] : sorted) {
+    key += std::to_string(k.size()) + ':' + k;
+    key += std::to_string(v.size()) + ':' + v;
+  }
+  return key;
+}
+
+}  // namespace
+
+std::vector<const PromSample*> PromPage::Select(
+    std::string_view name, const PromMatch& match) const {
+  std::vector<const PromSample*> out;
+  for (const PromSample& sample : samples) {
+    if (sample.name == name && Matches(sample, match)) out.push_back(&sample);
+  }
+  return out;
+}
+
+const PromSample* PromPage::Find(std::string_view name,
+                                 const PromMatch& match) const {
+  for (const PromSample& sample : samples) {
+    if (sample.name == name && Matches(sample, match)) return &sample;
+  }
+  return nullptr;
+}
+
+double PromPage::Value(std::string_view name, const PromMatch& match,
+                       double fallback) const {
+  const PromSample* sample = Find(name, match);
+  return sample != nullptr ? sample->value : fallback;
+}
+
+util::StatusOr<HistogramSnapshot> PromPage::ReadHistogram(
+    std::string_view name, const PromMatch& match) const {
+  const std::string base(name);
+  const PromSample* count = Find(base + "_count", match);
+  if (count == nullptr) return util::NotFoundError("no histogram " + base);
+  auto bad = [&base](const char* what) {
+    return util::InvalidArgumentError("histogram " + base + ": " + what);
+  };
+  const PromSample* sum = nullptr;
+  const PromSample* max = nullptr;
+  for (const PromSample& sample : samples) {
+    if (!SameSeries(sample, count->labels)) continue;
+    if (sample.name == base + "_sum") sum = &sample;
+    if (sample.name == base + "_max") max = &sample;
+  }
+  if (sum == nullptr || max == nullptr) return bad("missing _sum or _max");
+  HistogramSnapshot snapshot;
+  if (!ToCount(count->value, &snapshot.count)) return bad("bad _count");
+  snapshot.sum = sum->value;
+  snapshot.max = max->value;
+  const std::string bucket_name = base + "_bucket";
+  uint64_t cumulative = 0;
+  size_t next = 0;
+  for (const PromSample& sample : samples) {
+    if (sample.name != bucket_name || !SameSeries(sample, count->labels)) {
+      continue;
+    }
+    const std::string_view le = sample.Label("le");
+    size_t index = kHistogramBuckets - 1;
+    if (le != "+Inf") {
+      double bound = 0;
+      if (!ParseValue(le, &bound) || !(bound >= 1.0) ||
+          !std::isfinite(bound)) {
+        return bad("bad le edge");
+      }
+      index = Histogram::BucketIndex(bound) - 1;
+      if (HistogramSnapshot::BucketUpperBound(index) != bound) {
+        return bad("le is not a bucket edge");
+      }
+    }
+    uint64_t total = 0;
+    if (index < next || !ToCount(sample.value, &total) ||
+        total < cumulative) {
+      return bad("buckets out of order");
+    }
+    snapshot.buckets[index] = total - cumulative;
+    cumulative = total;
+    next = index + 1;
+  }
+  if (next != kHistogramBuckets) return bad("no +Inf bucket");
+  return snapshot;
+}
+
+util::StatusOr<PromPage> ParsePrometheusText(std::string_view text) {
+  static constexpr std::string_view kTypes[] = {
+      "counter", "gauge", "histogram", "summary", "untyped"};
+  PromPage page;
+  std::unordered_set<std::string> families;
+  std::unordered_set<std::string> series;
+  size_t line_no = 0;
+  for (size_t start = 0; start < text.size();) {
+    size_t end = text.find('\n', start);
+    if (end == std::string_view::npos) end = text.size();
+    const std::string_view line = text.substr(start, end - start);
+    start = end + 1;
+    ++line_no;
+    auto fail = [line_no](const std::string& what) {
+      return util::InvalidArgumentError("line " + std::to_string(line_no) +
+                                        ": " + what);
+    };
+    if (line.empty()) continue;
+    if (line[0] == '#') {
+      if (line.substr(0, 7) != "# TYPE ") continue;  // HELP, free comments
+      size_t pos = 7;
+      const std::string_view family = TakeName(line, pos, /*metric=*/true);
+      const std::string_view type =
+          pos < line.size() && line[pos] == ' ' ? line.substr(pos + 1)
+                                                : std::string_view();
+      if (family.empty() ||
+          std::find(std::begin(kTypes), std::end(kTypes), type) ==
+              std::end(kTypes)) {
+        return fail("malformed TYPE line");
+      }
+      if (!families.emplace(family).second) {
+        return fail("repeated TYPE for " + std::string(family));
+      }
+      continue;
+    }
+    PromSample sample;
+    if (util::Status parsed = ParseSample(line, &sample); !parsed.ok()) {
+      return fail(parsed.message());
+    }
+    if (!series.insert(SeriesKey(sample)).second) {
+      return fail("repeated series of " + sample.name);
+    }
+    page.samples.push_back(std::move(sample));
+  }
+  return page;
 }
 
 // --- MetricsRegistry --------------------------------------------------------

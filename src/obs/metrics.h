@@ -22,7 +22,9 @@
 #include <functional>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/status.h"
@@ -126,8 +128,11 @@ class Histogram {
 /// Appends metric series in the Prometheus text exposition format.
 /// Emits one `# TYPE` header per metric name per render (shared across
 /// collectors), cumulative `_bucket{le=...}` series plus `_sum`/`_count`
-/// for histograms. `labels` is the inner label list without braces, e.g.
-/// `dataset="alpha",estimator="molp"`; pass "" for none.
+/// for histograms, and a `_max` series carrying the observed maximum so
+/// a reader can rebuild the exact HistogramSnapshot (and so the exact
+/// Summary()). `labels` is the inner label list without braces, e.g.
+/// `dataset="alpha",estimator="molp"`; pass "" for none. Label values
+/// taken from untrusted input go through PromLabelEscape.
 class PromWriter {
  public:
   explicit PromWriter(std::string* out) : out_(out) {}
@@ -143,6 +148,57 @@ class PromWriter {
   std::string* out_;
   std::vector<std::string> typed_;
 };
+
+/// Escapes a label value for the text format: backslash, double quote and
+/// newline. A hostile workload line must not be able to break the page.
+std::string PromLabelEscape(std::string_view value);
+
+/// One sample line of a parsed Prometheus text page.
+struct PromSample {
+  std::string name;
+  /// Label pairs in written order, values unescaped.
+  std::vector<std::pair<std::string, std::string>> labels;
+  double value = 0;
+
+  /// The value of label `key`; empty when the sample has no such label.
+  std::string_view Label(std::string_view key) const;
+};
+
+/// Label constraints of a PromPage lookup: a sample matches when it
+/// carries every listed pair (other labels are ignored; an absent label
+/// reads as empty, as in Prometheus).
+using PromMatch = std::vector<std::pair<std::string_view, std::string_view>>;
+
+/// A validated Prometheus text page (see ParsePrometheusText).
+struct PromPage {
+  std::vector<PromSample> samples;
+
+  /// Every sample named `name` that matches `match`, in page order.
+  std::vector<const PromSample*> Select(std::string_view name,
+                                        const PromMatch& match = {}) const;
+  /// The first such sample, or nullptr.
+  const PromSample* Find(std::string_view name,
+                         const PromMatch& match = {}) const;
+  /// The first such sample's value, or `fallback` when none matches.
+  double Value(std::string_view name, const PromMatch& match = {},
+               double fallback = 0) const;
+  /// Rebuilds the histogram `name` of the first series matching `match`
+  /// from its `_bucket`, `_sum`, `_count` and `_max` samples — exactly
+  /// the snapshot PromWriter::WriteHistogram rendered. NotFound when no
+  /// `_count` sample matches; InvalidArgument when the series is not one
+  /// this build's histograms can produce (unknown `le` edge, decreasing
+  /// cumulative counts, missing `+Inf`/`_sum`/`_max`).
+  util::StatusOr<HistogramSnapshot> ReadHistogram(
+      std::string_view name, const PromMatch& match = {}) const;
+};
+
+/// Parses a text exposition page, treating it as untrusted input: every
+/// line must be blank, a comment, a well-formed `# TYPE` line (one per
+/// family) or a sample `name{label="value",...} value [timestamp]` with
+/// valid metric and label names, only the `\\`, `\"` and `\n` escapes,
+/// no repeated label and no repeated series. Anything else is
+/// InvalidArgument naming the line. Never reads past `text`.
+util::StatusOr<PromPage> ParsePrometheusText(std::string_view text);
 
 /// The process-wide registry. Components register a collector callback
 /// at construction (cheap: one mutex acquisition, never on the request

@@ -1,8 +1,8 @@
 #pragma once
 // Windowed metrics: a lock-free ring of Histogram slots, rotated by time
 // and merged on read into recent-window views (1m / 5m / 15m), so the
-// Prometheus page and the stats extension can report what the server did
-// *lately* instead of lifetime averages.
+// Prometheus page (which the wire stats frame carries) can report what
+// the server did *lately* instead of lifetime averages.
 //
 // The ring holds `slots` buckets of `slot_seconds` each; a record lands
 // in the bucket for its own time slot, claiming (and resetting) the

@@ -852,15 +852,12 @@ wire::Response TcpServer::Dispatch(const wire::Request& request) {
       break;
     }
     case wire::MessageType::kStats: {
-      // "v4" in the request text is the client's opt-in to the trailing
-      // observability extension; "v5" additionally gets the per-class
-      // accuracy scorecard extension. Older clients leave the text empty
-      // and get a byte-identical v3 response.
-      const bool v5 = request.text == wire::kStatsV5Token;
-      ServiceStats stats = service->Stats(/*with_scorecard=*/v5);
-      if (v5 || request.text == wire::kStatsV4Token) stats.v4_wire = true;
-      FillServerCounters(stats);
-      response.stats = std::move(stats);
+      // v6: the reply is the Prometheus page of the routed dataset's
+      // service plus this server — the same text /metrics renders for
+      // them. The request text is ignored.
+      obs::PromWriter writer(&response.text);
+      service->WriteMetrics(writer);
+      WriteMetrics(writer);
       break;
     }
     case wire::MessageType::kPing:
@@ -873,71 +870,50 @@ wire::Response TcpServer::Dispatch(const wire::Request& request) {
   return response;
 }
 
-void TcpServer::FillServerCounters(ServiceStats& stats) const {
-  auto& s = stats.server;
-  s.present = true;
-  s.connections_accepted = connections_.load(std::memory_order_relaxed);
-  s.connections_active = connections_active_.load(std::memory_order_relaxed);
-  s.shed_connection_cap = shed_connection_cap();
-  s.shed_pipeline_cap = shed_pipeline_cap();
-  s.shed_queue_cap = shed_queue_cap();
-  s.backpressure_events = backpressure_events();
-  s.bytes_in = bytes_in();
-  s.bytes_out = bytes_out();
-  s.frames_estimate = frames_estimate_.load(std::memory_order_relaxed);
-  s.frames_batch = frames_batch_.load(std::memory_order_relaxed);
-  s.frames_other = frames_other_.load(std::memory_order_relaxed);
+void TcpServer::RegisterMetrics() {
+  metrics_collector_id_ = obs::MetricsRegistry::Global().AddCollector(
+      [this](obs::PromWriter& w) { WriteMetrics(w); });
 }
 
-void TcpServer::RegisterMetrics() {
+void TcpServer::WriteMetrics(obs::PromWriter& w) const {
   const std::string label =
       "listen=\"" + options_.host + ":" + std::to_string(port_) + "\"";
-  metrics_collector_id_ = obs::MetricsRegistry::Global().AddCollector(
-      [this, label](obs::PromWriter& w) {
-        w.WriteCounter("cegraph_server_connections_accepted_total", label,
-                       connections_.load(std::memory_order_relaxed));
-        w.WriteGauge(
-            "cegraph_server_connections_active", label,
-            static_cast<double>(
-                connections_active_.load(std::memory_order_relaxed)));
-        w.WriteCounter("cegraph_server_requests_total", label,
-                       requests_.load(std::memory_order_relaxed));
-        w.WriteCounter("cegraph_server_shed_total",
-                       label + ",reason=\"connection_cap\"",
-                       shed_connection_cap());
-        w.WriteCounter("cegraph_server_shed_total",
-                       label + ",reason=\"pipeline_cap\"",
-                       shed_pipeline_cap());
-        w.WriteCounter("cegraph_server_shed_total",
-                       label + ",reason=\"queue_cap\"", shed_queue_cap());
-        w.WriteCounter("cegraph_server_backpressure_events_total", label,
-                       backpressure_events());
-        w.WriteCounter("cegraph_server_bytes_in_total", label, bytes_in());
-        w.WriteCounter("cegraph_server_bytes_out_total", label, bytes_out());
-        w.WriteCounter("cegraph_server_frames_total",
-                       label + ",type=\"estimate\"",
-                       frames_estimate_.load(std::memory_order_relaxed));
-        w.WriteCounter("cegraph_server_frames_total",
-                       label + ",type=\"batch\"",
-                       frames_batch_.load(std::memory_order_relaxed));
-        w.WriteCounter("cegraph_server_frames_total",
-                       label + ",type=\"other\"",
-                       frames_other_.load(std::memory_order_relaxed));
-        size_t depth = 0;
-        {
-          std::lock_guard<std::mutex> lock(work_mutex_);
-          depth = work_.size();
-        }
-        w.WriteGauge("cegraph_server_worker_queue_depth", label,
-                     static_cast<double>(depth));
-        for (size_t i = 0; i < obs::kStageCount; ++i) {
-          w.WriteHistogram(
-              "cegraph_server_stage_micros",
-              label + ",stage=\"" +
-                  obs::StageName(static_cast<obs::Stage>(i)) + "\"",
-              stage_hist_[i].Snapshot());
-        }
-      });
+  w.WriteCounter("cegraph_server_connections_accepted_total", label,
+                 connections_.load(std::memory_order_relaxed));
+  w.WriteGauge("cegraph_server_connections_active", label,
+               static_cast<double>(
+                   connections_active_.load(std::memory_order_relaxed)));
+  w.WriteCounter("cegraph_server_requests_total", label,
+                 requests_.load(std::memory_order_relaxed));
+  w.WriteCounter("cegraph_server_shed_total",
+                 label + ",reason=\"connection_cap\"", shed_connection_cap());
+  w.WriteCounter("cegraph_server_shed_total",
+                 label + ",reason=\"pipeline_cap\"", shed_pipeline_cap());
+  w.WriteCounter("cegraph_server_shed_total", label + ",reason=\"queue_cap\"",
+                 shed_queue_cap());
+  w.WriteCounter("cegraph_server_backpressure_events_total", label,
+                 backpressure_events());
+  w.WriteCounter("cegraph_server_bytes_in_total", label, bytes_in());
+  w.WriteCounter("cegraph_server_bytes_out_total", label, bytes_out());
+  w.WriteCounter("cegraph_server_frames_total", label + ",type=\"estimate\"",
+                 frames_estimate_.load(std::memory_order_relaxed));
+  w.WriteCounter("cegraph_server_frames_total", label + ",type=\"batch\"",
+                 frames_batch_.load(std::memory_order_relaxed));
+  w.WriteCounter("cegraph_server_frames_total", label + ",type=\"other\"",
+                 frames_other_.load(std::memory_order_relaxed));
+  size_t depth = 0;
+  {
+    std::lock_guard<std::mutex> lock(work_mutex_);
+    depth = work_.size();
+  }
+  w.WriteGauge("cegraph_server_worker_queue_depth", label,
+               static_cast<double>(depth));
+  for (size_t i = 0; i < obs::kStageCount; ++i) {
+    w.WriteHistogram("cegraph_server_stage_micros",
+                     label + ",stage=\"" +
+                         obs::StageName(static_cast<obs::Stage>(i)) + "\"",
+                     stage_hist_[i].Snapshot());
+  }
 }
 
 }  // namespace cegraph::service

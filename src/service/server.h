@@ -159,15 +159,17 @@ class TcpServer {
     return bytes_out_.load(std::memory_order_relaxed);
   }
 
+  /// Renders the server's series (labeled `listen="host:port"`): the
+  /// registry collector's body, and the server half of every kStats
+  /// reply (the routed dataset's service renders the other half).
+  void WriteMetrics(obs::PromWriter& writer) const;
+
  private:
   // ---- shared ----
   wire::Response Dispatch(const wire::Request& request);
-  /// Stamps this server's counters into a stats response (Dispatch's
-  /// kStats path; `present` marks them valid for the wire encoder).
-  void FillServerCounters(ServiceStats& stats) const;
   /// Counts one decoded request frame by type.
   void CountFrame(const util::StatusOr<wire::Request>& request);
-  /// Registers / removes the server's Prometheus collector.
+  /// Registers the server's Prometheus collector (WriteMetrics).
   void RegisterMetrics();
   void NotifyShutdownRequested();
   /// The pre-encoded retryable refusal payload for overload rejections.
@@ -260,7 +262,7 @@ class TcpServer {
   uint64_t next_conn_id_ = 2;
   std::atomic<bool> event_stop_{false};
 
-  std::mutex work_mutex_;
+  mutable std::mutex work_mutex_;
   std::condition_variable work_cv_;
   std::deque<WorkItem> work_;
 

@@ -26,29 +26,22 @@ SnapshotLoadBreakdown BreakdownOf(
   out.mapped = report.mapped;
   out.mapped_bytes = report.mapped_bytes;
   out.map_millis = report.map_millis;
-  out.parse_millis = report.parse_millis;
+  out.materialize_millis = report.materialize_millis;
   out.snapshot_epoch = report.snapshot_epoch;
   return out;
 }
 
-/// Prometheus label values must escape backslash, quote and newline.
-/// Scorecard class displays are patterns / template names, so this is
-/// usually the identity — but a hostile workload line must not be able
-/// to break the exposition format.
-std::string PromLabelEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '\\' || c == '"') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
+/// "off", "on" or "frozen": the `mode` label of cegraph_feedback_mode.
+const char* FeedbackModeName(FeedbackMode mode) {
+  switch (mode) {
+    case FeedbackMode::kOn:
+      return "on";
+    case FeedbackMode::kFrozen:
+      return "frozen";
+    case FeedbackMode::kOff:
+      break;
   }
-  return out;
+  return "off";
 }
 
 /// Query-class identity shared by the scorecard and the feedback store:
@@ -139,7 +132,8 @@ util::StatusOr<std::unique_ptr<EstimationService>> EstimationService::Create(
   auto state = service->MakeState(std::move(context), 0);
   if (!state.ok()) return state.status();
   service->state_.store(std::move(*state), std::memory_order_release);
-  service->RegisterMetrics();
+  service->metrics_collector_id_ = obs::MetricsRegistry::Global().AddCollector(
+      [raw = service.get()](obs::PromWriter& w) { raw->WriteMetrics(w); });
   if (service->last_load_.loaded) {
     obs::JournalEvent event;
     event.type = "snapshot_load";
@@ -149,8 +143,8 @@ util::StatusOr<std::unique_ptr<EstimationService>> EstimationService::Create(
     event.num.emplace_back("mapped",
                            service->last_load_.mapped ? 1.0 : 0.0);
     event.num.emplace_back("map_millis", service->last_load_.map_millis);
-    event.num.emplace_back("parse_millis",
-                           service->last_load_.parse_millis);
+    event.num.emplace_back("materialize_millis",
+                           service->last_load_.materialize_millis);
     service->EmitJournal(std::move(event));
   }
 
@@ -174,7 +168,12 @@ EstimationService::EstimationService(
       options_(std::move(options)),
       admission_(options_.max_in_flight),
       accounting_(options_.estimators.size()),
-      scorecard_(options_.scorecard) {}
+      scorecard_(options_.scorecard),
+      metric_labels_(options_.metrics_label.empty()
+                         ? std::string()
+                         : "dataset=\"" +
+                               obs::PromLabelEscape(options_.metrics_label) +
+                               "\"") {}
 
 EstimationService::~EstimationService() {
   if (metrics_collector_id_ != 0) {
@@ -679,8 +678,8 @@ util::StatusOr<SwapReport> EstimationService::HotSwapSnapshot(
       static_cast<double>(report.snapshot_replayed_deltas));
   event.num.emplace_back("stale", report.snapshot_stale ? 1.0 : 0.0);
   event.num.emplace_back("map_millis", report.snapshot_load.map_millis);
-  event.num.emplace_back("parse_millis",
-                         report.snapshot_load.parse_millis);
+  event.num.emplace_back("materialize_millis",
+                         report.snapshot_load.materialize_millis);
   EmitJournal(std::move(event));
   return report;
 }
@@ -746,13 +745,13 @@ ServiceStats EstimationService::Stats(bool with_scorecard) const {
           accounting_[i].qerror_sum.load(std::memory_order_relaxed) /
           static_cast<double>(truth_requests);
     }
-    out.latency = accounting_[i].latency_hist.Snapshot().Summary();
-    out.qerror = accounting_[i].qerror_hist.Snapshot().Summary();
+    out.latency = accounting_[i].latency_hist.Snapshot();
+    out.qerror = accounting_[i].qerror_hist.Snapshot();
     stats.estimators.push_back(std::move(out));
   }
-  stats.latency = request_latency_hist_.Snapshot().Summary();
-  stats.batch_lines = batch_lines_hist_.Snapshot().Summary();
-  stats.fold_millis = fold_millis_hist_.Snapshot().Summary();
+  stats.latency = request_latency_hist_.Snapshot();
+  stats.batch_lines = batch_lines_hist_.Snapshot();
+  stats.fold_millis = fold_millis_hist_.Snapshot();
   stats.admitted_weight = admission_.admitted_weight();
   stats.rejected_weight = admission_.rejected_weight();
   stats.snapshot_loads = snapshot_loads_.load(std::memory_order_relaxed);
@@ -769,14 +768,17 @@ ServiceStats EstimationService::Stats(bool with_scorecard) const {
     std::lock_guard<std::mutex> lock(load_mutex_);
     stats.snapshot_load = last_load_;
   }
-  stats.any_drift = scorecard_.AnyDrift();
-  stats.scorecard_window_seconds =
-      options_.scorecard.window.span_seconds();
-  stats.latency_1m = request_latency_window_.SnapshotWindow(60).Summary();
-  stats.rate_1m = request_latency_window_.RatePerSec(60);
+  for (const auto& [name, seconds] :
+       {std::pair{"1m", 60}, std::pair{"5m", 300}, std::pair{"15m", 900}}) {
+    stats.recent.push_back({name, request_latency_window_.RatePerSec(seconds),
+                            request_latency_window_.SnapshotWindow(seconds)});
+  }
+  stats.scorecard_window_seconds = options_.scorecard.window.span_seconds();
+  stats.scorecard_classes = scorecard_.class_count();
+  stats.scorecard_drifted_classes = scorecard_.drifted_classes();
+  stats.scorecard_evictions = scorecard_.evictions();
   if (with_scorecard) {
     stats.scorecard = scorecard_.Report(stats.scorecard_window_seconds);
-    stats.scorecard_wire = true;
   }
   stats.feedback_mode = options_.feedback;
   stats.corrections_applied =
@@ -788,155 +790,150 @@ ServiceStats EstimationService::Stats(bool with_scorecard) const {
     stats.feedback_active = state->feedback->active_count();
     stats.feedback_evictions = state->feedback->evictions();
   }
-  stats.qerror_raw_1m = qerror_raw_window_.SnapshotWindow(60).Summary();
-  stats.qerror_corrected_1m =
-      qerror_corrected_window_.SnapshotWindow(60).Summary();
+  stats.qerror_raw_1m = qerror_raw_window_.SnapshotWindow(60);
+  stats.qerror_corrected_1m = qerror_corrected_window_.SnapshotWindow(60);
   if (with_scorecard && state->feedback != nullptr) {
     stats.corrections = state->feedback->Report();
-    stats.corrections_wire = true;
   }
   return stats;
 }
 
-void EstimationService::RegisterMetrics() {
-  const std::string dataset_label =
-      options_.metrics_label.empty()
-          ? std::string()
-          : "dataset=\"" + options_.metrics_label + "\"";
-  metrics_collector_id_ = obs::MetricsRegistry::Global().AddCollector(
-      [this, dataset_label](obs::PromWriter& w) {
-        const std::string& l = dataset_label;
-        const std::string sep = l.empty() ? "" : ",";
-        w.WriteCounter("cegraph_requests_served_total", l, served_.load());
-        w.WriteCounter("cegraph_request_errors_total", l,
-                       request_errors_.load());
-        w.WriteCounter("cegraph_admission_rejected_total", l,
-                       admission_.rejected());
-        w.WriteCounter("cegraph_admitted_weight_units_total", l,
-                       admission_.admitted_weight());
-        w.WriteCounter("cegraph_rejected_weight_units_total", l,
-                       admission_.rejected_weight());
-        w.WriteGauge("cegraph_in_flight_weight", l,
-                     static_cast<double>(admission_.in_flight()));
-        w.WriteCounter("cegraph_swaps_total", l, swaps_.load());
-        w.WriteHistogram("cegraph_request_latency_micros", l,
-                         request_latency_hist_.Snapshot());
-        w.WriteHistogram("cegraph_batch_lines", l,
-                         batch_lines_hist_.Snapshot());
-        w.WriteHistogram("cegraph_fold_millis", l,
-                         fold_millis_hist_.Snapshot());
-        const auto state = AcquireState();
-        w.WriteGauge("cegraph_serving_epoch", l,
-                     static_cast<double>(state->epoch));
-        w.WriteGauge("cegraph_serving_version", l,
-                     static_cast<double>(state->version));
-        {
-          std::lock_guard<std::mutex> lock(pending_mutex_);
-          w.WriteGauge("cegraph_pending_delta_ops", l,
-                       static_cast<double>(pending_.size()));
-        }
-        w.WriteCounter("cegraph_snapshot_loads_total", l,
-                       snapshot_loads_.load());
-        {
-          std::lock_guard<std::mutex> lock(load_mutex_);
-          w.WriteGauge("cegraph_snapshot_load_map_millis", l,
-                       last_load_.map_millis);
-          w.WriteGauge("cegraph_snapshot_load_parse_millis", l,
-                       last_load_.parse_millis);
-          w.WriteGauge("cegraph_snapshot_load_mapped_bytes", l,
-                       static_cast<double>(last_load_.mapped_bytes));
-        }
-        for (size_t i = 0; i < accounting_.size(); ++i) {
-          const std::string el =
-              l + sep + "estimator=\"" + options_.estimators[i] + "\"";
-          w.WriteHistogram("cegraph_estimator_latency_micros", el,
-                           accounting_[i].latency_hist.Snapshot());
-          w.WriteHistogram("cegraph_estimator_qerror", el,
-                           accounting_[i].qerror_hist.Snapshot());
-          w.WriteCounter("cegraph_estimator_failures_total", el,
-                         accounting_[i].failures.load());
-        }
-        for (const auto& cache : state->engine->context().CollectCacheStats()) {
-          const std::string cl = l + sep + "cache=\"" + cache.name + "\"";
-          w.WriteGauge("cegraph_cache_entries", cl,
-                       static_cast<double>(cache.entries));
-          w.WriteCounter("cegraph_cache_hits_total", cl, cache.counters.hits);
-          w.WriteCounter("cegraph_cache_misses_total", cl,
-                         cache.counters.misses);
-          w.WriteCounter("cegraph_cache_evictions_total", cl,
-                         cache.counters.evictions);
-        }
-        // Windowed views: what the service did *lately*, next to the
-        // lifetime histograms above.
-        struct WindowView {
-          int64_t seconds;
-          const char* name;
-        };
-        static constexpr WindowView kWindows[] = {
-            {60, "1m"}, {300, "5m"}, {900, "15m"}};
-        for (const WindowView& view : kWindows) {
-          const std::string wl =
-              l + sep + "window=\"" + view.name + "\"";
-          const obs::QuantileSummary s =
-              request_latency_window_.SnapshotWindow(view.seconds)
-                  .Summary();
-          w.WriteGauge("cegraph_request_rate_per_sec", wl,
-                       request_latency_window_.RatePerSec(view.seconds));
-          w.WriteGauge("cegraph_request_latency_recent_p50_micros", wl,
-                       s.p50);
-          w.WriteGauge("cegraph_request_latency_recent_p99_micros", wl,
-                       s.p99);
-        }
-        // Per-query-class scorecards. The drifted-classes gauge is the
-        // CI tripwire: nonzero means some class's windowed median left
-        // its baseline regime.
-        w.WriteGauge("cegraph_scorecard_classes", l,
-                     static_cast<double>(scorecard_.class_count()));
-        w.WriteGauge("cegraph_scorecard_drifted_classes", l,
-                     static_cast<double>(scorecard_.drifted_classes()));
-        w.WriteCounter("cegraph_scorecard_evictions_total", l,
-                       scorecard_.evictions());
-        for (const obs::ScorecardClassReport& row : scorecard_.Report(
-                 options_.scorecard.window.span_seconds())) {
-          const std::string rl = l + sep + "class=\"" +
-                                 PromLabelEscape(row.display) + "\"";
-          w.WriteCounter("cegraph_scorecard_hits_total", rl, row.hits);
-          w.WriteCounter("cegraph_scorecard_under_total", rl, row.under);
-          w.WriteCounter("cegraph_scorecard_over_total", rl, row.over);
-          w.WriteGauge("cegraph_scorecard_qerror_p50", rl,
-                       row.qerror.p50);
-          w.WriteGauge("cegraph_scorecard_qerror_p99", rl,
-                       row.qerror.p99);
-          w.WriteGauge("cegraph_scorecard_drifted", rl,
-                       row.drifted ? 1.0 : 0.0);
-        }
-        // Learned-feedback loop: class census, apply/suppress counters
-        // and the trailing-minute pre/post-correction q-error medians
-        // (the one-glance "is the loop helping" pair).
-        const auto feedback = state->feedback;
-        if (feedback != nullptr) {
-          w.WriteGauge("cegraph_feedback_classes", l,
-                       static_cast<double>(feedback->class_count()));
-          w.WriteGauge("cegraph_feedback_active_classes", l,
-                       static_cast<double>(feedback->active_count()));
-          w.WriteCounter("cegraph_feedback_evictions_total", l,
-                         feedback->evictions());
-        }
-        w.WriteCounter("cegraph_corrections_applied_total", l,
-                       corrections_applied_.load());
-        w.WriteCounter("cegraph_corrections_suppressed_total", l,
-                       corrections_suppressed_.load());
-        const obs::QuantileSummary raw_1m =
-            qerror_raw_window_.SnapshotWindow(60).Summary();
-        const obs::QuantileSummary corrected_1m =
-            qerror_corrected_window_.SnapshotWindow(60).Summary();
-        w.WriteGauge("cegraph_qerror_precorrection_p50", l, raw_1m.p50);
-        w.WriteGauge("cegraph_qerror_precorrection_p99", l, raw_1m.p99);
-        w.WriteGauge("cegraph_qerror_postcorrection_p50", l,
-                     corrected_1m.p50);
-        w.WriteGauge("cegraph_qerror_postcorrection_p99", l,
-                     corrected_1m.p99);
-      });
+void EstimationService::WriteMetrics(obs::PromWriter& writer) const {
+  service::WriteMetrics(Stats(/*with_scorecard=*/true), metric_labels_,
+                        writer);
+}
+
+void WriteMetrics(const ServiceStats& s, const std::string& labels,
+                  obs::PromWriter& w) {
+  const std::string& l = labels;
+  // `l` plus one more label pair (the value escaped).
+  auto with = [&l](const char* key, std::string_view value) {
+    return l + (l.empty() ? "" : ",") + key + "=\"" +
+           obs::PromLabelEscape(value) + "\"";
+  };
+  auto class_labels = [&with](const std::string& display,
+                              const std::string& key) {
+    return with("class", display) + ",key=\"" + obs::PromLabelEscape(key) +
+           "\"";
+  };
+  w.WriteCounter("cegraph_requests_served_total", l, s.served);
+  w.WriteCounter("cegraph_request_errors_total", l, s.request_errors);
+  w.WriteCounter("cegraph_admission_rejected_total", l, s.rejected);
+  w.WriteCounter("cegraph_admitted_weight_units_total", l, s.admitted_weight);
+  w.WriteCounter("cegraph_rejected_weight_units_total", l, s.rejected_weight);
+  w.WriteGauge("cegraph_in_flight_weight", l, static_cast<double>(s.in_flight));
+  w.WriteGauge("cegraph_peak_in_flight_weight", l,
+               static_cast<double>(s.peak_in_flight));
+  w.WriteCounter("cegraph_swaps_total", l, s.swaps);
+  w.WriteGauge("cegraph_request_mean_latency_micros", l, s.mean_latency_micros);
+  w.WriteHistogram("cegraph_request_latency_micros", l, s.latency);
+  w.WriteHistogram("cegraph_batch_lines", l, s.batch_lines);
+  w.WriteHistogram("cegraph_fold_millis", l, s.fold_millis);
+  w.WriteGauge("cegraph_serving_epoch", l, static_cast<double>(s.epoch));
+  w.WriteGauge("cegraph_serving_version", l, static_cast<double>(s.version));
+  w.WriteGauge("cegraph_pending_delta_ops", l,
+               static_cast<double>(s.pending_delta_ops));
+  w.WriteGauge("cegraph_replay_log_ops", l,
+               static_cast<double>(s.replay_log_ops));
+  w.WriteGauge("cegraph_min_replayable_epoch", l,
+               static_cast<double>(s.min_replayable_epoch));
+  w.WriteCounter("cegraph_snapshot_loads_total", l, s.snapshot_loads);
+  w.WriteGauge("cegraph_snapshot_loaded", l, s.snapshot_load.loaded ? 1 : 0);
+  w.WriteGauge("cegraph_snapshot_mapped", l, s.snapshot_load.mapped ? 1 : 0);
+  w.WriteGauge("cegraph_snapshot_epoch", l,
+               static_cast<double>(s.snapshot_load.snapshot_epoch));
+  w.WriteGauge("cegraph_snapshot_load_map_millis", l,
+               s.snapshot_load.map_millis);
+  w.WriteGauge("cegraph_snapshot_load_materialize_millis", l,
+               s.snapshot_load.materialize_millis);
+  w.WriteGauge("cegraph_snapshot_load_mapped_bytes", l,
+               static_cast<double>(s.snapshot_load.mapped_bytes));
+  for (const ServiceStats::EstimatorAccounting& e : s.estimators) {
+    const std::string el = with("estimator", e.name);
+    w.WriteCounter("cegraph_estimator_requests_total", el, e.requests);
+    w.WriteCounter("cegraph_estimator_failures_total", el, e.failures);
+    w.WriteGauge("cegraph_estimator_mean_micros", el, e.mean_micros);
+    w.WriteGauge("cegraph_estimator_mean_qerror", el, e.mean_qerror);
+    w.WriteHistogram("cegraph_estimator_latency_micros", el, e.latency);
+    w.WriteHistogram("cegraph_estimator_qerror", el, e.qerror);
+  }
+  for (const ServiceStats::CacheRow& cache : s.caches) {
+    const std::string cl = with("cache", cache.name);
+    w.WriteGauge("cegraph_cache_entries", cl,
+                 static_cast<double>(cache.entries));
+    w.WriteCounter("cegraph_cache_hits_total", cl, cache.hits);
+    w.WriteCounter("cegraph_cache_misses_total", cl, cache.misses);
+    w.WriteCounter("cegraph_cache_evictions_total", cl, cache.evictions);
+  }
+  // Windowed views: what the service did *lately*, next to the lifetime
+  // histograms above.
+  for (const ServiceStats::RecentWindow& window : s.recent) {
+    const std::string wl = with("window", window.name);
+    const obs::QuantileSummary latency = window.latency.Summary();
+    w.WriteGauge("cegraph_request_rate_per_sec", wl, window.rate_per_sec);
+    w.WriteGauge("cegraph_request_latency_recent_p50_micros", wl, latency.p50);
+    w.WriteGauge("cegraph_request_latency_recent_p99_micros", wl, latency.p99);
+  }
+  // Per-query-class scorecards. The drifted-classes gauge is the CI
+  // tripwire: nonzero means some class's windowed median left its
+  // baseline regime. Rows carry the class key next to its display name:
+  // two classes may share a display (two instances of one template).
+  w.WriteGauge("cegraph_scorecard_window_seconds", l,
+               static_cast<double>(s.scorecard_window_seconds));
+  w.WriteGauge("cegraph_scorecard_classes", l,
+               static_cast<double>(s.scorecard_classes));
+  w.WriteGauge("cegraph_scorecard_drifted_classes", l,
+               static_cast<double>(s.scorecard_drifted_classes));
+  w.WriteCounter("cegraph_scorecard_evictions_total", l,
+                 s.scorecard_evictions);
+  for (const obs::ScorecardClassReport& row : s.scorecard) {
+    const std::string rl = class_labels(row.display, row.key);
+    w.WriteCounter("cegraph_scorecard_hits_total", rl, row.hits);
+    w.WriteCounter("cegraph_scorecard_under_total", rl, row.under);
+    w.WriteCounter("cegraph_scorecard_over_total", rl, row.over);
+    w.WriteGauge("cegraph_scorecard_qerror_p50", rl, row.qerror.p50);
+    w.WriteGauge("cegraph_scorecard_qerror_p99", rl, row.qerror.p99);
+    w.WriteGauge("cegraph_scorecard_qerror_max", rl, row.qerror.max);
+    w.WriteGauge("cegraph_scorecard_baseline_qerror_p50", rl,
+                 row.baseline_median);
+    w.WriteGauge("cegraph_scorecard_drifted", rl, row.drifted ? 1 : 0);
+    // The worst exemplar: its q-error carries the estimator and the query
+    // line as labels; estimate and truth ride beside it.
+    const std::string exemplar =
+        rl + ",estimator=\"" + obs::PromLabelEscape(row.worst.estimator) +
+        "\",query=\"" + obs::PromLabelEscape(row.worst.line) + "\"";
+    w.WriteGauge("cegraph_scorecard_worst_qerror", exemplar, row.worst.qerror);
+    w.WriteGauge("cegraph_scorecard_worst_estimate", rl, row.worst.estimate);
+    w.WriteGauge("cegraph_scorecard_worst_truth", rl, row.worst.truth);
+  }
+  // Learned-feedback loop: mode, class census, apply/suppress counters,
+  // the trailing-minute pre/post-correction q-error (the one-glance "is
+  // the loop helping" pair) and the per-class correction rows.
+  w.WriteGauge("cegraph_feedback_mode",
+               with("mode", FeedbackModeName(s.feedback_mode)), 1);
+  w.WriteGauge("cegraph_feedback_classes", l,
+               static_cast<double>(s.feedback_classes));
+  w.WriteGauge("cegraph_feedback_active_classes", l,
+               static_cast<double>(s.feedback_active));
+  w.WriteCounter("cegraph_feedback_evictions_total", l, s.feedback_evictions);
+  w.WriteCounter("cegraph_corrections_applied_total", l,
+                 s.corrections_applied);
+  w.WriteCounter("cegraph_corrections_suppressed_total", l,
+                 s.corrections_suppressed);
+  const obs::QuantileSummary raw_1m = s.qerror_raw_1m.Summary();
+  const obs::QuantileSummary corrected_1m = s.qerror_corrected_1m.Summary();
+  w.WriteGauge("cegraph_qerror_precorrection_p50", l, raw_1m.p50);
+  w.WriteGauge("cegraph_qerror_precorrection_p99", l, raw_1m.p99);
+  w.WriteGauge("cegraph_qerror_postcorrection_p50", l, corrected_1m.p50);
+  w.WriteGauge("cegraph_qerror_postcorrection_p99", l, corrected_1m.p99);
+  for (const learn::FeedbackClassReport& row : s.corrections) {
+    const std::string rl = class_labels(row.display, row.key);
+    w.WriteCounter("cegraph_correction_hits_total", rl, row.hits);
+    w.WriteGauge("cegraph_correction_samples", rl,
+                 static_cast<double>(row.samples));
+    w.WriteGauge("cegraph_correction_factor", rl, row.correction);
+    w.WriteGauge("cegraph_correction_active", rl, row.active ? 1 : 0);
+  }
 }
 
 }  // namespace cegraph::service

@@ -102,16 +102,18 @@ struct ServiceOptions {
   learn::FeedbackOptions feedback_options;
 };
 
-/// Breakdown of the snapshot load behind a state: how the artifact was
-/// opened (mmap vs parse) and how long each phase took. All zero until a
-/// snapshot load has happened. Mirrors
+/// Breakdown of the snapshot load behind a state: whether the arena's
+/// indexes were attached in place or materialized, and how long each
+/// phase took. All zero until a snapshot load has happened. Mirrors
 /// engine::EstimationContext::SnapshotLoadReport.
 struct SnapshotLoadBreakdown {
   bool loaded = false;        ///< a snapshot load backed this state
   bool mapped = false;        ///< arena sections attached zero-copy
-  uint64_t mapped_bytes = 0;  ///< arena bytes backing the load
-  double map_millis = 0;      ///< open phase: mmap / read + integrity checks
-  double parse_millis = 0;    ///< apply phase: parse / attach / merge
+  uint64_t mapped_bytes = 0;  ///< arena bytes left attached (0 if none)
+  double map_millis = 0;      ///< open phase: mmap + integrity checks
+  /// Apply phase: attaching the indexes (fresh loads) or materializing
+  /// them and replaying the missing deltas (stale loads).
+  double materialize_millis = 0;
   uint64_t snapshot_epoch = 0;
 };
 
@@ -130,7 +132,10 @@ struct SwapReport {
   SnapshotLoadBreakdown snapshot_load;
 };
 
-/// Aggregate accounting, cheap enough to sample per scrape.
+/// Aggregate accounting, cheap enough to sample per scrape: every number
+/// the service exports, gathered in one pass by EstimationService::Stats
+/// and rendered by WriteMetrics (the Prometheus page and the wire stats
+/// frame are the same text).
 struct ServiceStats {
   uint64_t served = 0;           ///< responses returned
   uint64_t rejected = 0;         ///< admission refusals
@@ -155,27 +160,29 @@ struct ServiceStats {
     /// degenerate estimates (0 / inf / NaN q-error) are excluded — an
     /// error must not skew the aggregate.
     double mean_qerror = 0;
-    /// Distribution readouts (v4 wire extension / Prometheus). Zero when
-    /// the metrics layer is disabled.
-    obs::QuantileSummary latency;  ///< per-call micros
-    obs::QuantileSummary qerror;   ///< truth-carrying successes only
+    /// Distributions; empty when the metrics layer is disabled.
+    obs::HistogramSnapshot latency;  ///< per-call micros
+    obs::HistogramSnapshot qerror;   ///< truth-carrying successes only
   };
   std::vector<EstimatorAccounting> estimators;
+  /// Request-level distributions (empty when metrics are disabled).
+  obs::HistogramSnapshot latency;      ///< request latency micros
+  obs::HistogramSnapshot batch_lines;  ///< lines per v3 batch frame
+  obs::HistogramSnapshot fold_millis;  ///< delta fold / compaction durations
+  uint64_t admitted_weight = 0;        ///< capacity units granted
+  uint64_t rejected_weight = 0;        ///< capacity units refused
+  /// Request latency and rate over the trailing 1m, 5m and 15m — the
+  /// "what is the server doing lately" counterpart of `latency`.
+  struct RecentWindow {
+    const char* name = "";  ///< "1m", "5m", "15m"
+    double rate_per_sec = 0;
+    obs::HistogramSnapshot latency;
+  };
+  std::vector<RecentWindow> recent;
   /// The most recent snapshot load (Create's initial load or the latest
   /// HotSwapSnapshot); `loaded` false when the service never loaded one.
   SnapshotLoadBreakdown snapshot_load;
-
-  // --- v4 observability extension (docs/wire_protocol.md §v4) ---
-  /// True when this stats object carries (or should carry, on encode)
-  /// the v4 trailing extension. Decoders set it when the extension was
-  /// present; the server sets it when the client opted in.
-  bool v4_wire = false;
-  obs::QuantileSummary latency;     ///< request latency micros
-  obs::QuantileSummary batch_lines; ///< lines per v3 batch frame
-  obs::QuantileSummary fold_millis; ///< delta fold / compaction durations
-  uint64_t admitted_weight = 0;     ///< capacity units granted
-  uint64_t rejected_weight = 0;     ///< capacity units refused
-  uint64_t snapshot_loads = 0;      ///< successful snapshot loads
+  uint64_t snapshot_loads = 0;  ///< successful snapshot loads
   /// Statistics-cache residency and hit/miss/evict counters of the
   /// current serving state (CegCache + every KeyedCache).
   struct CacheRow {
@@ -186,44 +193,17 @@ struct ServiceStats {
     uint64_t evictions = 0;
   };
   std::vector<CacheRow> caches;
-  /// TCP-server-level counters, injected by the server when answering a
-  /// stats frame (`present` false for the embedded in-process service).
-  struct ServerCounters {
-    bool present = false;
-    uint64_t connections_accepted = 0;
-    uint64_t connections_active = 0;
-    uint64_t shed_connection_cap = 0;  ///< rejections at --max-connections
-    uint64_t shed_pipeline_cap = 0;    ///< rejections at the pipeline depth
-    uint64_t shed_queue_cap = 0;       ///< legacy accept-queue rejections
-    uint64_t backpressure_events = 0;  ///< out-buffer high-water crossings
-    uint64_t bytes_in = 0;
-    uint64_t bytes_out = 0;
-    uint64_t frames_estimate = 0;
-    uint64_t frames_batch = 0;
-    uint64_t frames_other = 0;
-  };
-  ServerCounters server;
 
-  // --- v5 scorecard extension (docs/wire_protocol.md §v5) ---
-  /// True when this stats object carries (or should carry, on encode)
-  /// the v5 trailing scorecard extension; implies v4_wire on encode.
-  bool scorecard_wire = false;
-  bool any_drift = false;  ///< any class currently flagged as drifted
-  /// Window the scorecard rows (and latency_1m below) were read over.
-  int64_t scorecard_window_seconds = 0;
-  /// Request latency over the trailing minute — the "what is the server
-  /// doing *lately*" counterpart of the lifetime `latency` summary.
-  obs::QuantileSummary latency_1m;
-  double rate_1m = 0;  ///< served requests/sec over the trailing minute
+  // --- per-query-class accuracy scorecard ---
+  int64_t scorecard_window_seconds = 0;  ///< window the rows are read over
+  uint64_t scorecard_classes = 0;
+  uint64_t scorecard_drifted_classes = 0;  ///< > 0: some class drifted
+  uint64_t scorecard_evictions = 0;
   /// Per-query-class rows, sorted by hits descending (ties: key
   /// ascending). Filled only by Stats(/*with_scorecard=*/true).
   std::vector<obs::ScorecardClassReport> scorecard;
 
-  // --- v5 corrections extension (docs/wire_protocol.md §corrections) ---
-  /// True when this stats object carries (or should carry, on encode)
-  /// the corrections trailing extension; rides the same v5 opt-in as
-  /// the scorecard.
-  bool corrections_wire = false;
+  // --- learned-feedback corrections (docs/learned_feedback.md) ---
   FeedbackMode feedback_mode = FeedbackMode::kOff;
   uint64_t feedback_classes = 0;    ///< classes with any observations
   uint64_t feedback_active = 0;     ///< classes past the confidence gate
@@ -232,12 +212,19 @@ struct ServiceStats {
   uint64_t corrections_suppressed = 0; ///< active correction skipped (opt-out)
   /// Trailing-minute q-error of truth-carrying results, before and
   /// after correction — the live readout of whether the loop helps.
-  obs::QuantileSummary qerror_raw_1m;
-  obs::QuantileSummary qerror_corrected_1m;
+  obs::HistogramSnapshot qerror_raw_1m;
+  obs::HistogramSnapshot qerror_corrected_1m;
   /// Per-class learned corrections, sorted by hits descending (ties:
   /// key ascending). Filled only by Stats(/*with_scorecard=*/true).
   std::vector<learn::FeedbackClassReport> corrections;
 };
+
+/// Renders `stats` as Prometheus series, every one labeled with `labels`
+/// (the inner label list, e.g. `dataset="alpha"`; "" for none). This is
+/// the one renderer behind both the registry collector and the wire
+/// stats frame; docs/observability.md lists the series.
+void WriteMetrics(const ServiceStats& stats, const std::string& labels,
+                  obs::PromWriter& writer);
 
 /// A long-lived, concurrently readable estimation server over one base
 /// graph: the embeddable core behind the `cegraph_serve` daemon.
@@ -329,10 +316,12 @@ class EstimationService {
 
   uint64_t epoch() const { return AcquireState()->epoch; }
   /// Aggregate accounting. `with_scorecard` additionally materializes
-  /// the per-class scorecard rows (a window merge per class — cheap per
-  /// scrape, not per request) and marks the result for the v5 wire
-  /// extension.
+  /// the per-class scorecard and correction rows (a window merge per
+  /// class — cheap per scrape, not per request).
   ServiceStats Stats(bool with_scorecard = false) const;
+  /// WriteMetrics(Stats(true), <dataset label>, writer): this service's
+  /// part of the Prometheus page and of the wire stats frame.
+  void WriteMetrics(obs::PromWriter& writer) const;
   const ServiceOptions& options() const { return options_; }
 
  private:
@@ -364,10 +353,6 @@ class EstimationService {
 
   /// Publishes and bumps the swap counter.
   void Publish(std::shared_ptr<const ServingState> state);
-
-  /// Registers this service's Prometheus collector with the global
-  /// registry (labeled by options_.metrics_label).
-  void RegisterMetrics();
 
   /// Maintainer body for one pending batch. Caller holds maintenance_mutex_.
   util::StatusOr<SwapReport> ApplyBatchLocked(
@@ -454,6 +439,8 @@ class EstimationService {
   /// Emits to options_.journal when set (dataset stamped); else no-op.
   void EmitJournal(obs::JournalEvent event) const;
   std::atomic<uint64_t> snapshot_loads_{0};
+  /// `dataset="<options_.metrics_label>"`, or "" when unlabeled.
+  std::string metric_labels_;
   /// Handle of this service's collector in MetricsRegistry::Global()
   /// (0 = not registered). Registered at the end of Create, removed
   /// first thing in the destructor.

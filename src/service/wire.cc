@@ -100,7 +100,7 @@ void EncodeLoadBreakdown(Writer& w, const SnapshotLoadBreakdown& load) {
   w.WriteU8(load.mapped ? 1 : 0);
   w.WriteU64(load.mapped_bytes);
   w.WriteDouble(load.map_millis);
-  w.WriteDouble(load.parse_millis);
+  w.WriteDouble(load.materialize_millis);
   w.WriteU64(load.snapshot_epoch);
 }
 
@@ -118,9 +118,9 @@ util::StatusOr<SnapshotLoadBreakdown> DecodeLoadBreakdown(Reader& r) {
   auto map_millis = r.ReadDouble();
   if (!map_millis.ok()) return map_millis.status();
   load.map_millis = *map_millis;
-  auto parse_millis = r.ReadDouble();
-  if (!parse_millis.ok()) return parse_millis.status();
-  load.parse_millis = *parse_millis;
+  auto materialize_millis = r.ReadDouble();
+  if (!materialize_millis.ok()) return materialize_millis.status();
+  load.materialize_millis = *materialize_millis;
   auto epoch = r.ReadU64();
   if (!epoch.ok()) return epoch.status();
   load.snapshot_epoch = *epoch;
@@ -181,117 +181,12 @@ util::StatusOr<SwapReport> DecodeSwap(Reader& r) {
   return swap;
 }
 
-void EncodeStats(Writer& w, const ServiceStats& stats) {
-  w.WriteU64(stats.served);
-  w.WriteU64(stats.rejected);
-  w.WriteU64(stats.request_errors);
-  w.WriteU64(stats.swaps);
-  w.WriteU64(stats.epoch);
-  w.WriteU64(stats.version);
-  w.WriteU64(stats.pending_delta_ops);
-  w.WriteU64(stats.replay_log_ops);
-  w.WriteU64(stats.min_replayable_epoch);
-  w.WriteU64(static_cast<uint64_t>(stats.in_flight));
-  w.WriteU64(static_cast<uint64_t>(stats.peak_in_flight));
-  w.WriteDouble(stats.mean_latency_micros);
-  w.WriteU32(static_cast<uint32_t>(stats.estimators.size()));
-  for (const ServiceStats::EstimatorAccounting& e : stats.estimators) {
-    w.WriteString(e.name);
-    w.WriteU64(e.requests);
-    w.WriteU64(e.failures);
-    w.WriteDouble(e.mean_micros);
-    w.WriteDouble(e.mean_qerror);
-  }
-  // Snapshot-load observability (arena snapshots): how the state behind
-  // this scrape was loaded and what each phase cost.
-  EncodeLoadBreakdown(w, stats.snapshot_load);
-}
-
-util::StatusOr<ServiceStats> DecodeStats(Reader& r) {
-  ServiceStats stats;
-  auto served = r.ReadU64();
-  if (!served.ok()) return served.status();
-  stats.served = *served;
-  auto rejected = r.ReadU64();
-  if (!rejected.ok()) return rejected.status();
-  stats.rejected = *rejected;
-  auto errors = r.ReadU64();
-  if (!errors.ok()) return errors.status();
-  stats.request_errors = *errors;
-  auto swaps = r.ReadU64();
-  if (!swaps.ok()) return swaps.status();
-  stats.swaps = *swaps;
-  auto epoch = r.ReadU64();
-  if (!epoch.ok()) return epoch.status();
-  stats.epoch = *epoch;
-  auto version = r.ReadU64();
-  if (!version.ok()) return version.status();
-  stats.version = *version;
-  auto pending = r.ReadU64();
-  if (!pending.ok()) return pending.status();
-  stats.pending_delta_ops = *pending;
-  auto log_ops = r.ReadU64();
-  if (!log_ops.ok()) return log_ops.status();
-  stats.replay_log_ops = *log_ops;
-  auto min_epoch = r.ReadU64();
-  if (!min_epoch.ok()) return min_epoch.status();
-  stats.min_replayable_epoch = *min_epoch;
-  auto in_flight = r.ReadU64();
-  if (!in_flight.ok()) return in_flight.status();
-  stats.in_flight = static_cast<int64_t>(*in_flight);
-  auto peak = r.ReadU64();
-  if (!peak.ok()) return peak.status();
-  stats.peak_in_flight = static_cast<int64_t>(*peak);
-  auto latency = r.ReadDouble();
-  if (!latency.ok()) return latency.status();
-  stats.mean_latency_micros = *latency;
-  auto count = r.ReadU32();
-  if (!count.ok()) return count.status();
-  if (*count > r.remaining()) {
-    return util::InvalidArgumentError(
-        "estimator accounting count exceeds frame payload");
-  }
-  stats.estimators.reserve(*count);
-  for (uint32_t i = 0; i < *count; ++i) {
-    ServiceStats::EstimatorAccounting e;
-    auto name = r.ReadString();
-    if (!name.ok()) return name.status();
-    e.name = std::move(*name);
-    auto requests = r.ReadU64();
-    if (!requests.ok()) return requests.status();
-    e.requests = *requests;
-    auto failures = r.ReadU64();
-    if (!failures.ok()) return failures.status();
-    e.failures = *failures;
-    auto micros = r.ReadDouble();
-    if (!micros.ok()) return micros.status();
-    e.mean_micros = *micros;
-    auto qerror = r.ReadDouble();
-    if (!qerror.ok()) return qerror.status();
-    e.mean_qerror = *qerror;
-    stats.estimators.push_back(std::move(e));
-  }
-  auto load = DecodeLoadBreakdown(r);
-  if (!load.ok()) return load.status();
-  stats.snapshot_load = *load;
-  return stats;
-}
-
-// ---- v4 stats extension ----------------------------------------------------
+// ---- v5 trailing extensions ------------------------------------------------
 //
-// The extension travels as one trailing *string* after the optional v2
-// dataset echo, so every pre-v4 field keeps its byte layout. Its content
-// is the magic FF 43 47 34, u8 ext version, then the observability block
-// (quantile summaries are u64 count + five f64s). Bytes beyond the v1
-// block inside the string are ignored — a future ext version can append
-// without breaking this decoder.
+// Each extension travels as one trailing *string* led by a 4-byte magic
+// (FF 43 47 xx) and a u8 ext version; bytes past the fields this build
+// knows are a future version's and are ignored.
 
-constexpr char kStatsExtMagic[4] = {'\xff', 'C', 'G', '4'};
-/// v5 per-query-class scorecard extension (kStats responses, opt-in).
-constexpr char kScorecardExtMagic[4] = {'\xff', 'C', 'G', '5'};
-/// Learned-feedback corrections extension (kStats responses, rides the
-/// same v5 opt-in as the scorecard).
-constexpr char kCorrectionsExtMagic[4] = {'\xff', 'C', 'G', '6'};
 /// v5 end-to-end request id (any request; echoed on the response).
 constexpr char kRequestIdExtMagic[4] = {'\xff', 'C', 'G', 'R'};
 
@@ -305,151 +200,6 @@ bool HasMagic(std::string_view s, const char (&magic)[4]) {
 bool IsExtensionField(std::string_view s) {
   return !s.empty() && s[0] == '\xff';
 }
-
-void EncodeSummary(Writer& w, const obs::QuantileSummary& s) {
-  w.WriteU64(s.count);
-  w.WriteDouble(s.mean);
-  w.WriteDouble(s.p50);
-  w.WriteDouble(s.p90);
-  w.WriteDouble(s.p99);
-  w.WriteDouble(s.max);
-}
-
-util::StatusOr<obs::QuantileSummary> DecodeSummary(Reader& r) {
-  obs::QuantileSummary s;
-  auto count = r.ReadU64();
-  if (!count.ok()) return count.status();
-  s.count = *count;
-  for (double* field : {&s.mean, &s.p50, &s.p90, &s.p99, &s.max}) {
-    auto value = r.ReadDouble();
-    if (!value.ok()) return value.status();
-    *field = *value;
-  }
-  return s;
-}
-
-std::string EncodeStatsExt(const ServiceStats& stats) {
-  Writer w;
-  w.WriteRaw(std::string_view(kStatsExtMagic, sizeof(kStatsExtMagic)));
-  w.WriteU8(1);  // ext version
-  EncodeSummary(w, stats.latency);
-  EncodeSummary(w, stats.batch_lines);
-  EncodeSummary(w, stats.fold_millis);
-  w.WriteU64(stats.admitted_weight);
-  w.WriteU64(stats.rejected_weight);
-  w.WriteU64(stats.snapshot_loads);
-  w.WriteU8(stats.server.present ? 1 : 0);
-  w.WriteU64(stats.server.connections_accepted);
-  w.WriteU64(stats.server.connections_active);
-  w.WriteU64(stats.server.shed_connection_cap);
-  w.WriteU64(stats.server.shed_pipeline_cap);
-  w.WriteU64(stats.server.shed_queue_cap);
-  w.WriteU64(stats.server.backpressure_events);
-  w.WriteU64(stats.server.bytes_in);
-  w.WriteU64(stats.server.bytes_out);
-  w.WriteU64(stats.server.frames_estimate);
-  w.WriteU64(stats.server.frames_batch);
-  w.WriteU64(stats.server.frames_other);
-  w.WriteU32(static_cast<uint32_t>(stats.caches.size()));
-  for (const ServiceStats::CacheRow& cache : stats.caches) {
-    w.WriteString(cache.name);
-    w.WriteU64(cache.entries);
-    w.WriteU64(cache.hits);
-    w.WriteU64(cache.misses);
-    w.WriteU64(cache.evictions);
-  }
-  // Per-estimator summaries ride index-aligned with the v3 estimator
-  // list — no names repeated.
-  w.WriteU32(static_cast<uint32_t>(stats.estimators.size()));
-  for (const ServiceStats::EstimatorAccounting& e : stats.estimators) {
-    EncodeSummary(w, e.latency);
-    EncodeSummary(w, e.qerror);
-  }
-  return w.TakeBuffer();
-}
-
-util::Status DecodeStatsExt(std::string_view ext, ServiceStats& stats) {
-  Reader r(ext.substr(sizeof(kStatsExtMagic)));
-  auto version = r.ReadU8();
-  if (!version.ok()) return version.status();
-  if (*version < 1) {
-    return util::InvalidArgumentError("bad stats extension version " +
-                                      std::to_string(*version));
-  }
-  auto latency = DecodeSummary(r);
-  if (!latency.ok()) return latency.status();
-  stats.latency = *latency;
-  auto batch_lines = DecodeSummary(r);
-  if (!batch_lines.ok()) return batch_lines.status();
-  stats.batch_lines = *batch_lines;
-  auto fold_millis = DecodeSummary(r);
-  if (!fold_millis.ok()) return fold_millis.status();
-  stats.fold_millis = *fold_millis;
-  auto admitted = r.ReadU64();
-  if (!admitted.ok()) return admitted.status();
-  stats.admitted_weight = *admitted;
-  auto rejected = r.ReadU64();
-  if (!rejected.ok()) return rejected.status();
-  stats.rejected_weight = *rejected;
-  auto loads = r.ReadU64();
-  if (!loads.ok()) return loads.status();
-  stats.snapshot_loads = *loads;
-  auto present = r.ReadU8();
-  if (!present.ok()) return present.status();
-  stats.server.present = *present != 0;
-  for (uint64_t* field :
-       {&stats.server.connections_accepted, &stats.server.connections_active,
-        &stats.server.shed_connection_cap, &stats.server.shed_pipeline_cap,
-        &stats.server.shed_queue_cap, &stats.server.backpressure_events,
-        &stats.server.bytes_in, &stats.server.bytes_out,
-        &stats.server.frames_estimate, &stats.server.frames_batch,
-        &stats.server.frames_other}) {
-    auto value = r.ReadU64();
-    if (!value.ok()) return value.status();
-    *field = *value;
-  }
-  auto cache_count = r.ReadU32();
-  if (!cache_count.ok()) return cache_count.status();
-  if (*cache_count > r.remaining()) {
-    return util::InvalidArgumentError(
-        "cache row count exceeds stats extension");
-  }
-  stats.caches.reserve(*cache_count);
-  for (uint32_t i = 0; i < *cache_count; ++i) {
-    ServiceStats::CacheRow cache;
-    auto name = r.ReadString();
-    if (!name.ok()) return name.status();
-    cache.name = std::move(*name);
-    for (uint64_t* field : {&cache.entries, &cache.hits, &cache.misses,
-                            &cache.evictions}) {
-      auto value = r.ReadU64();
-      if (!value.ok()) return value.status();
-      *field = *value;
-    }
-    stats.caches.push_back(std::move(cache));
-  }
-  auto est_count = r.ReadU32();
-  if (!est_count.ok()) return est_count.status();
-  if (*est_count != stats.estimators.size()) {
-    // The summaries are index-aligned with the v3 estimator list; a
-    // mismatch means the frame was assembled inconsistently.
-    return util::InvalidArgumentError(
-        "stats extension estimator count mismatch");
-  }
-  for (uint32_t i = 0; i < *est_count; ++i) {
-    auto est_latency = DecodeSummary(r);
-    if (!est_latency.ok()) return est_latency.status();
-    stats.estimators[i].latency = *est_latency;
-    auto est_qerror = DecodeSummary(r);
-    if (!est_qerror.ok()) return est_qerror.status();
-    stats.estimators[i].qerror = *est_qerror;
-  }
-  // Trailing bytes inside the ext string are a future version's fields.
-  stats.v4_wire = true;
-  return util::Status::OK();
-}
-
-// ---- v5 request-id extension -----------------------------------------------
 
 std::string EncodeRequestIdExt(uint64_t id) {
   Writer w;
@@ -472,200 +222,6 @@ util::StatusOr<uint64_t> DecodeRequestIdExt(std::string_view ext) {
   if (!id.ok()) return id.status();
   // Trailing bytes inside the ext string are a future version's fields.
   return *id;
-}
-
-// ---- v5 scorecard extension ------------------------------------------------
-
-std::string EncodeScorecardExt(const ServiceStats& stats) {
-  Writer w;
-  w.WriteRaw(
-      std::string_view(kScorecardExtMagic, sizeof(kScorecardExtMagic)));
-  w.WriteU8(1);  // ext version
-  w.WriteU8(stats.any_drift ? 1 : 0);
-  w.WriteU64(static_cast<uint64_t>(stats.scorecard_window_seconds));
-  EncodeSummary(w, stats.latency_1m);
-  w.WriteDouble(stats.rate_1m);
-  w.WriteU32(static_cast<uint32_t>(stats.scorecard.size()));
-  for (const obs::ScorecardClassReport& row : stats.scorecard) {
-    w.WriteString(row.key);
-    w.WriteString(row.display);
-    w.WriteU64(row.hits);
-    w.WriteU64(row.under);
-    w.WriteU64(row.over);
-    EncodeSummary(w, row.qerror);
-    w.WriteDouble(row.baseline_median);
-    w.WriteU8(row.drifted ? 1 : 0);
-    w.WriteDouble(row.worst.qerror);
-    w.WriteString(row.worst.line);
-    w.WriteDouble(row.worst.estimate);
-    w.WriteDouble(row.worst.truth);
-    w.WriteString(row.worst.estimator);
-  }
-  return w.TakeBuffer();
-}
-
-util::Status DecodeScorecardExt(std::string_view ext, ServiceStats& stats) {
-  Reader r(ext.substr(sizeof(kScorecardExtMagic)));
-  auto version = r.ReadU8();
-  if (!version.ok()) return version.status();
-  if (*version < 1) {
-    return util::InvalidArgumentError("bad scorecard extension version " +
-                                      std::to_string(*version));
-  }
-  auto drift = r.ReadU8();
-  if (!drift.ok()) return drift.status();
-  stats.any_drift = *drift != 0;
-  auto window = r.ReadU64();
-  if (!window.ok()) return window.status();
-  stats.scorecard_window_seconds = static_cast<int64_t>(*window);
-  auto latency = DecodeSummary(r);
-  if (!latency.ok()) return latency.status();
-  stats.latency_1m = *latency;
-  auto rate = r.ReadDouble();
-  if (!rate.ok()) return rate.status();
-  stats.rate_1m = *rate;
-  auto count = r.ReadU32();
-  if (!count.ok()) return count.status();
-  if (*count > r.remaining()) {
-    return util::InvalidArgumentError(
-        "scorecard class count exceeds extension payload");
-  }
-  stats.scorecard.clear();
-  stats.scorecard.reserve(*count);
-  for (uint32_t i = 0; i < *count; ++i) {
-    obs::ScorecardClassReport row;
-    auto key = r.ReadString();
-    if (!key.ok()) return key.status();
-    row.key = std::move(*key);
-    auto display = r.ReadString();
-    if (!display.ok()) return display.status();
-    row.display = std::move(*display);
-    for (uint64_t* field : {&row.hits, &row.under, &row.over}) {
-      auto value = r.ReadU64();
-      if (!value.ok()) return value.status();
-      *field = *value;
-    }
-    auto qerror = DecodeSummary(r);
-    if (!qerror.ok()) return qerror.status();
-    row.qerror = *qerror;
-    auto baseline = r.ReadDouble();
-    if (!baseline.ok()) return baseline.status();
-    row.baseline_median = *baseline;
-    auto drifted = r.ReadU8();
-    if (!drifted.ok()) return drifted.status();
-    row.drifted = *drifted != 0;
-    auto worst_q = r.ReadDouble();
-    if (!worst_q.ok()) return worst_q.status();
-    row.worst.qerror = *worst_q;
-    auto line = r.ReadString();
-    if (!line.ok()) return line.status();
-    row.worst.line = std::move(*line);
-    auto estimate = r.ReadDouble();
-    if (!estimate.ok()) return estimate.status();
-    row.worst.estimate = *estimate;
-    auto truth = r.ReadDouble();
-    if (!truth.ok()) return truth.status();
-    row.worst.truth = *truth;
-    auto estimator = r.ReadString();
-    if (!estimator.ok()) return estimator.status();
-    row.worst.estimator = std::move(*estimator);
-    stats.scorecard.push_back(std::move(row));
-  }
-  // Trailing bytes inside the ext string are a future version's fields.
-  stats.scorecard_wire = true;
-  return util::Status::OK();
-}
-
-// ---- v5 corrections extension ----------------------------------------------
-
-std::string EncodeCorrectionsExt(const ServiceStats& stats) {
-  Writer w;
-  w.WriteRaw(
-      std::string_view(kCorrectionsExtMagic, sizeof(kCorrectionsExtMagic)));
-  w.WriteU8(1);  // ext version
-  w.WriteU8(static_cast<uint8_t>(stats.feedback_mode));
-  w.WriteU64(stats.feedback_classes);
-  w.WriteU64(stats.feedback_active);
-  w.WriteU64(stats.feedback_evictions);
-  w.WriteU64(stats.corrections_applied);
-  w.WriteU64(stats.corrections_suppressed);
-  EncodeSummary(w, stats.qerror_raw_1m);
-  EncodeSummary(w, stats.qerror_corrected_1m);
-  w.WriteU32(static_cast<uint32_t>(stats.corrections.size()));
-  for (const learn::FeedbackClassReport& row : stats.corrections) {
-    w.WriteString(row.key);
-    w.WriteString(row.display);
-    w.WriteU64(row.hits);
-    w.WriteU64(row.samples);
-    w.WriteDouble(row.correction);
-    w.WriteU8(row.active ? 1 : 0);
-  }
-  return w.TakeBuffer();
-}
-
-util::Status DecodeCorrectionsExt(std::string_view ext,
-                                  ServiceStats& stats) {
-  Reader r(ext.substr(sizeof(kCorrectionsExtMagic)));
-  auto version = r.ReadU8();
-  if (!version.ok()) return version.status();
-  if (*version < 1) {
-    return util::InvalidArgumentError(
-        "bad corrections extension version " + std::to_string(*version));
-  }
-  auto mode = r.ReadU8();
-  if (!mode.ok()) return mode.status();
-  if (*mode > static_cast<uint8_t>(FeedbackMode::kFrozen)) {
-    return util::InvalidArgumentError("unknown feedback mode " +
-                                      std::to_string(*mode));
-  }
-  stats.feedback_mode = static_cast<FeedbackMode>(*mode);
-  for (uint64_t* field :
-       {&stats.feedback_classes, &stats.feedback_active,
-        &stats.feedback_evictions, &stats.corrections_applied,
-        &stats.corrections_suppressed}) {
-    auto value = r.ReadU64();
-    if (!value.ok()) return value.status();
-    *field = *value;
-  }
-  auto raw = DecodeSummary(r);
-  if (!raw.ok()) return raw.status();
-  stats.qerror_raw_1m = *raw;
-  auto corrected = DecodeSummary(r);
-  if (!corrected.ok()) return corrected.status();
-  stats.qerror_corrected_1m = *corrected;
-  auto count = r.ReadU32();
-  if (!count.ok()) return count.status();
-  if (*count > r.remaining()) {
-    return util::InvalidArgumentError(
-        "correction class count exceeds extension payload");
-  }
-  stats.corrections.clear();
-  stats.corrections.reserve(*count);
-  for (uint32_t i = 0; i < *count; ++i) {
-    learn::FeedbackClassReport row;
-    auto key = r.ReadString();
-    if (!key.ok()) return key.status();
-    row.key = std::move(*key);
-    auto display = r.ReadString();
-    if (!display.ok()) return display.status();
-    row.display = std::move(*display);
-    auto hits = r.ReadU64();
-    if (!hits.ok()) return hits.status();
-    row.hits = *hits;
-    auto samples = r.ReadU64();
-    if (!samples.ok()) return samples.status();
-    row.samples = *samples;
-    auto correction = r.ReadDouble();
-    if (!correction.ok()) return correction.status();
-    row.correction = *correction;
-    auto active = r.ReadU8();
-    if (!active.ok()) return active.status();
-    row.active = *active != 0;
-    stats.corrections.push_back(std::move(row));
-  }
-  // Trailing bytes inside the ext string are a future version's fields.
-  stats.corrections_wire = true;
-  return util::Status::OK();
 }
 
 void EncodeBatch(Writer& w, const std::vector<BatchEstimateItem>& batch) {
@@ -802,8 +358,6 @@ std::string EncodeResponse(const Response& response) {
         EncodeSwap(w, response.swap);
         break;
       case MessageType::kStats:
-        EncodeStats(w, response.stats);
-        break;
       case MessageType::kPing:
       case MessageType::kShutdown:
         w.WriteString(response.text);
@@ -816,23 +370,6 @@ std::string EncodeResponse(const Response& response) {
   // v2 echo, encoded only when the server resolved an explicit dataset
   // (responses to v1 requests stay byte-identical to v1 frames).
   if (!response.dataset.empty()) w.WriteString(response.dataset);
-  // v4 opt-in: the trailing stats extension, only on OK stats responses
-  // whose request asked for it. The v5 scorecard opt-in implies it.
-  if (response.status.ok() && response.type == MessageType::kStats &&
-      (response.stats.v4_wire || response.stats.scorecard_wire)) {
-    w.WriteString(EncodeStatsExt(response.stats));
-  }
-  // v5 opt-in: the trailing scorecard extension.
-  if (response.status.ok() && response.type == MessageType::kStats &&
-      response.stats.scorecard_wire) {
-    w.WriteString(EncodeScorecardExt(response.stats));
-  }
-  // Corrections extension, same opt-in; sent only when the service
-  // filled corrections state (a feedback-aware v5 server).
-  if (response.status.ok() && response.type == MessageType::kStats &&
-      response.stats.corrections_wire) {
-    w.WriteString(EncodeCorrectionsExt(response.stats));
-  }
   // v5 echo, same contract as the dataset echo: only when the request
   // carried an id.
   if (response.request_id != 0) {
@@ -857,27 +394,15 @@ util::StatusOr<Response> DecodeResponse(std::string_view payload) {
   response.type = static_cast<MessageType>(*type);
   // v5 trailing-field sequence (shared by the error and OK paths): at
   // most one dataset echo (v2), any number of 0xFF-led extension
-  // strings — the stats/scorecard extensions on kStats frames, the
-  // request-id echo on any frame; unknown magics are a newer peer's
-  // fields and are skipped.
+  // strings — the request-id echo is the one this build knows; unknown
+  // magics are a newer peer's fields and are skipped.
   auto read_trailing_fields = [&r, &response]() -> util::Status {
     bool have_dataset = false;
     while (!r.AtEnd()) {
       auto field = r.ReadString();
       if (!field.ok()) return field.status();
       if (IsExtensionField(*field)) {
-        if (response.type == MessageType::kStats &&
-            HasMagic(*field, kStatsExtMagic)) {
-          CEGRAPH_RETURN_IF_ERROR(DecodeStatsExt(*field, response.stats));
-        } else if (response.type == MessageType::kStats &&
-                   HasMagic(*field, kScorecardExtMagic)) {
-          CEGRAPH_RETURN_IF_ERROR(
-              DecodeScorecardExt(*field, response.stats));
-        } else if (response.type == MessageType::kStats &&
-                   HasMagic(*field, kCorrectionsExtMagic)) {
-          CEGRAPH_RETURN_IF_ERROR(
-              DecodeCorrectionsExt(*field, response.stats));
-        } else if (HasMagic(*field, kRequestIdExtMagic)) {
+        if (HasMagic(*field, kRequestIdExtMagic)) {
           auto id = DecodeRequestIdExt(*field);
           if (!id.ok()) return id.status();
           response.request_id = *id;
@@ -917,12 +442,7 @@ util::StatusOr<Response> DecodeResponse(std::string_view payload) {
       response.swap = *swap;
       break;
     }
-    case MessageType::kStats: {
-      auto stats = DecodeStats(r);
-      if (!stats.ok()) return stats.status();
-      response.stats = std::move(*stats);
-      break;
-    }
+    case MessageType::kStats:
     case MessageType::kPing:
     case MessageType::kShutdown: {
       auto text = r.ReadString();

@@ -11,7 +11,7 @@
 
 namespace cegraph::service::wire {
 
-/// The cegraph wire protocol, version 3 (see docs/wire_protocol.md):
+/// The cegraph wire protocol, version 6 (see docs/wire_protocol.md):
 /// length-prefixed frames over a byte stream, little-endian throughout
 /// (util::serde).
 ///
@@ -40,67 +40,47 @@ namespace cegraph::service::wire {
 /// a single epoch — so an optimizer prices a whole join tree in one round
 /// trip. v1/v2 frames are untouched, byte for byte, in both directions.
 ///
-/// Version 4 adds an *opt-in* observability extension to kStats
-/// responses: a client that sets the stats request's `text` to "v4" gets
-/// one extra trailing string after the optional dataset echo, starting
-/// with the magic bytes FF 43 47 34 ("\xFF" "CG4") and carrying quantile
-/// summaries (request latency, batch sizes, fold durations, per-estimator
-/// latency/q-error), admission weight counters, cache rows and the TCP
-/// server's counters. Clients that do not opt in — and every pre-v4
-/// frame — stay byte-identical to v3 in both directions; the magic byte
-/// 0xFF cannot start a dataset name, which is how the decoder tells the
-/// two trailing strings apart.
-///
-/// Version 5 generalizes that trick: trailing strings after the request
-/// body / response body are now a *sequence* of fields, each either the
-/// (at most one) dataset name or a 0xFF-magic-led extension, in any
+/// Version 4 added an opt-in binary observability extension to kStats
+/// replies. Version 5 generalized its trick: trailing strings after the
+/// request body / response body are a *sequence* of fields, each either
+/// the (at most one) dataset name or a 0xFF-magic-led extension, in any
 /// order; unknown 0xFF magics are skipped, so later revisions can add
-/// extensions without breaking v5 peers. Two extensions ship with v5:
+/// extensions without breaking older peers (0xFF cannot start a dataset
+/// name). The one extension in use:
 ///
 ///   FF 43 47 52 ("\xFF" "CGR")  request-id: u8 ext version, u64 id. A
 ///     client stamps any request with a nonzero id; the server echoes it
 ///     on the response and threads it through the slow-request log, the
 ///     stage trace and the journal — one id, end to end. Requests
-///     without an id stay byte-identical to v4 frames.
+///     without an id carry no extension bytes.
 ///
-///   FF 43 47 35 ("\xFF" "CG5")  scorecard: per-query-class windowed
-///     accuracy rows (hits, under/over split, q-error quantiles,
-///     baseline median, drift verdict, worst exemplar) plus the drift
-///     gauge and recent request latency/rate. Sent on kStats responses
-///     whose request `text` is "v5" (which implies the v4 extension
-///     too).
-///
-///   FF 43 47 36 ("\xFF" "CG6")  corrections: the learned-feedback
-///     loop's state — feedback mode, class census, applied/suppressed
-///     counters, trailing-minute pre/post-correction q-error summaries
-///     and per-class correction rows (key, display, hits, samples,
-///     factor, active). Rides the same "v5" kStats opt-in as the
-///     scorecard; feedback-unaware peers skip the unknown magic.
+/// Version 6 makes the kStats reply body one string: the Prometheus text
+/// page that the routed dataset's service and the TCP server render —
+/// the same series `/metrics` exports for them, read back with
+/// obs::ParsePrometheusText. The stats request's text is ignored. The
+/// binary stats body and its v4/v5 extensions are gone, so stats frames
+/// do not interoperate with pre-v6 peers; every other frame is unchanged.
 
 /// Upper bound on one frame's payload; larger length prefixes are treated
 /// as corruption and fail the connection.
 inline constexpr uint32_t kMaxFrameBytes = 16u << 20;
 
 /// Protocol revision implemented by this build (documentation constant;
-/// frames themselves are versionless — v2..v5 are strict,
-/// self-delimiting extensions of v1, distinguished per frame by type and
-/// trailing fields).
-inline constexpr uint32_t kProtocolVersion = 5;
+/// frames themselves are versionless — each revision is distinguished
+/// per frame by type and trailing fields).
+inline constexpr uint32_t kProtocolVersion = 6;
 
-/// The v4 stats-extension opt-in token: a kStats request whose `text`
-/// equals this receives the trailing observability extension.
-inline constexpr std::string_view kStatsV4Token = "v4";
-
-/// The v5 scorecard opt-in token: a kStats request whose `text` equals
-/// this receives the v4 observability extension *and* the v5 scorecard
-/// extension.
+/// The pre-v6 scorecard opt-in text of a stats request. The server
+/// ignores stats request text now; the name stays only because
+/// perfbench/driver/serve.cc still sends it, and goes with the next
+/// change to that driver.
 inline constexpr std::string_view kStatsV5Token = "v5";
 
 enum class MessageType : uint8_t {
   kEstimate = 1,      ///< text: one request line (service::ParseRequestLine)
   kApplyDeltas = 2,   ///< text: a delta feed (dynamic delta text format)
   kSwapSnapshot = 3,  ///< text: server-local snapshot path
-  kStats = 4,         ///< text: "" (v3), "v4" (stats ext), "v5" (+scorecard)
+  kStats = 4,         ///< text ignored; the reply text is the metrics page
   kPing = 5,          ///< text echoed back
   kShutdown = 6,      ///< text unused; server drains and exits
   kBatchEstimate = 7, ///< v3: `lines` carries N estimate lines
@@ -125,13 +105,14 @@ struct Request {
 /// The decoded answer to one request. `status` is the request-level
 /// outcome; exactly one body member is meaningful on OK, selected by
 /// `type` (estimate for kEstimate, swap for kApplyDeltas/kSwapSnapshot,
-/// stats for kStats, text for kPing/kShutdown, batch for kBatchEstimate).
+/// text for kStats/kPing/kShutdown, batch for kBatchEstimate).
 struct Response {
   util::Status status;
   MessageType type = MessageType::kPing;
   EstimateResponse estimate;
   SwapReport swap;
-  ServiceStats stats;
+  /// kPing / kShutdown: the reply line. kStats (v6): the Prometheus text
+  /// page of the routed dataset and the server.
   std::string text;
   /// v3: per-line results of a batch frame, in request order. Each item
   /// carries the status + body its line would have earned as its own v1

@@ -3,8 +3,7 @@
 // pass's per-class q-error for consistently biased classes, leave gated
 // and opted-out classes bit-identical to raw serving, keep `--feedback
 // off` serving bit-identical to a pre-feedback build, and carry learned
-// corrections through snapshot save/load and hot swaps. Also covers the
-// wire-v5 corrections extension round trip.
+// corrections through snapshot save/load and hot swaps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +19,6 @@
 #include "query/parser.h"
 #include "service/request.h"
 #include "service/service.h"
-#include "service/wire.h"
 
 namespace cegraph::service {
 namespace {
@@ -159,7 +157,6 @@ TEST(ClosedLoopTest, SecondPassImprovesBiasedClassesGatedStaysRaw) {
   EXPECT_GE(stats.feedback_classes, 8u);  // 2 lines + tri, x4 estimators
   EXPECT_GE(stats.feedback_active, 8u);
   EXPECT_GT(stats.corrections_applied, 0u);
-  EXPECT_TRUE(stats.corrections_wire);
   ASSERT_FALSE(stats.corrections.empty());
   EXPECT_TRUE(stats.corrections[0].active);
 }
@@ -286,51 +283,6 @@ TEST(ClosedLoopTest, CorrectionsSurviveSnapshotRestartAndHotSwap) {
     EXPECT_TRUE(post_swap->results[i].corrected) << i;
     EXPECT_EQ(post_swap->results[i].estimate, learned->results[i].estimate);
   }
-}
-
-TEST(ClosedLoopTest, CorrectionsExtensionRoundTripsOnTheWire) {
-  wire::Response response;
-  response.type = wire::MessageType::kStats;
-  response.stats.corrections_wire = true;
-  response.stats.feedback_mode = FeedbackMode::kFrozen;
-  response.stats.feedback_classes = 3;
-  response.stats.feedback_active = 2;
-  response.stats.feedback_evictions = 1;
-  response.stats.corrections_applied = 7;
-  response.stats.corrections_suppressed = 2;
-  learn::FeedbackClassReport row;
-  row.key = "molp|P2|0,1";
-  row.display = "path2";
-  row.hits = 12;
-  row.samples = 8;
-  row.correction = 123.456;
-  row.active = true;
-  response.stats.corrections.push_back(row);
-
-  auto decoded = wire::DecodeResponse(wire::EncodeResponse(response));
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  const ServiceStats& s = decoded->stats;
-  EXPECT_TRUE(s.corrections_wire);
-  EXPECT_EQ(s.feedback_mode, FeedbackMode::kFrozen);
-  EXPECT_EQ(s.feedback_classes, 3u);
-  EXPECT_EQ(s.feedback_active, 2u);
-  EXPECT_EQ(s.feedback_evictions, 1u);
-  EXPECT_EQ(s.corrections_applied, 7u);
-  EXPECT_EQ(s.corrections_suppressed, 2u);
-  ASSERT_EQ(s.corrections.size(), 1u);
-  EXPECT_EQ(s.corrections[0].key, row.key);
-  EXPECT_EQ(s.corrections[0].display, row.display);
-  EXPECT_EQ(s.corrections[0].hits, 12u);
-  EXPECT_EQ(s.corrections[0].samples, 8u);
-  EXPECT_EQ(s.corrections[0].correction, 123.456);
-  EXPECT_TRUE(s.corrections[0].active);
-
-  // A response that did not opt in stays free of the extension.
-  wire::Response plain;
-  plain.type = wire::MessageType::kStats;
-  auto plain_decoded = wire::DecodeResponse(wire::EncodeResponse(plain));
-  ASSERT_TRUE(plain_decoded.ok());
-  EXPECT_FALSE(plain_decoded->stats.corrections_wire);
 }
 
 }  // namespace

@@ -230,6 +230,143 @@ TEST(PromWriterTest, HistogramCumulativeBucketsSumCount) {
   EXPECT_NE(out.find("le=\"1\"} 1\n"), std::string::npos);
 }
 
+TEST(PromWriterTest, HistogramWritesItsMax) {
+  Histogram h;
+  h.Record(3);
+  h.Record(7.25);
+  std::string out;
+  PromWriter w(&out);
+  w.WriteHistogram("cegraph_lat", "", h.Snapshot());
+  EXPECT_NE(out.find("cegraph_lat_max 7.25\n"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// Text-format parser
+// ---------------------------------------------------------------------
+
+TEST(PromParseTest, RoundTripsCountersGaugesAndEscapedLabels) {
+  const std::string hostile = "a \"quoted\" \\ back\nslash";
+  std::string out;
+  PromWriter w(&out);
+  w.WriteCounter("cegraph_things_total", "kind=\"a\"", 5);
+  w.WriteCounter("cegraph_things_total",
+                 "kind=\"" + PromLabelEscape(hostile) + "\"",
+                 18446744073709549568ull);
+  w.WriteGauge("cegraph_depth", "", 0.1);
+  w.WriteGauge("cegraph_ratio", "x=\"1\",y=\"2\"", -2.5e-300);
+  w.WriteGauge("cegraph_inf", "", std::numeric_limits<double>::infinity());
+
+  auto page = ParsePrometheusText(out);
+  ASSERT_TRUE(page.ok()) << page.status();
+  EXPECT_EQ(page->Value("cegraph_things_total", {{"kind", "a"}}), 5);
+  EXPECT_EQ(page->Value("cegraph_things_total", {{"kind", hostile}}),
+            18446744073709549568.0);
+  EXPECT_EQ(page->Select("cegraph_things_total").size(), 2u);
+  EXPECT_EQ(page->Value("cegraph_depth"), 0.1);  // bit-exact
+  EXPECT_EQ(page->Value("cegraph_ratio", {{"y", "2"}}), -2.5e-300);
+  EXPECT_EQ(page->Find("cegraph_ratio")->Label("x"), "1");
+  EXPECT_TRUE(std::isinf(page->Value("cegraph_inf")));
+  EXPECT_EQ(page->Value("cegraph_absent", {}, -1), -1);
+  EXPECT_EQ(page->Find("cegraph_depth", {{"kind", "a"}}), nullptr);
+}
+
+TEST(PromParseTest, RebuiltHistogramHasTheSourceSummary) {
+  Histogram h;
+  for (double v : {0.25, 1.0, 1.5, 3.0, 3.0, 17.0, 1e6, 12345.678, 5e12}) {
+    h.Record(v);
+  }
+  const HistogramSnapshot source = h.Snapshot();
+  std::string out;
+  PromWriter w(&out);
+  w.WriteHistogram("cegraph_lat", "stage=\"a\"", source);
+  w.WriteHistogram("cegraph_lat", "stage=\"b\"", HistogramSnapshot());
+
+  auto page = ParsePrometheusText(out);
+  ASSERT_TRUE(page.ok()) << page.status();
+  auto rebuilt = page->ReadHistogram("cegraph_lat", {{"stage", "a"}});
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+  EXPECT_EQ(rebuilt->buckets, source.buckets);
+  const QuantileSummary want = source.Summary();
+  const QuantileSummary got = rebuilt->Summary();
+  EXPECT_EQ(got.count, want.count);
+  EXPECT_EQ(got.mean, want.mean);
+  EXPECT_EQ(got.p50, want.p50);
+  EXPECT_EQ(got.p90, want.p90);
+  EXPECT_EQ(got.p99, want.p99);
+  EXPECT_EQ(got.max, want.max);
+  // The empty series rebuilds empty, and an absent one is NotFound.
+  auto empty = page->ReadHistogram("cegraph_lat", {{"stage", "b"}});
+  ASSERT_TRUE(empty.ok()) << empty.status();
+  EXPECT_EQ(empty->count, 0u);
+  EXPECT_EQ(page->ReadHistogram("cegraph_lat", {{"stage", "c"}})
+                .status()
+                .code(),
+            util::StatusCode::kNotFound);
+}
+
+TEST(PromParseTest, MalformedLinesAreInvalidArgument) {
+  const char* const kBad[] = {
+      "9starts_with_digit 1",
+      "name{} ",
+      "name 1 2 3",
+      "name one",
+      "name{label=\"unterminated} 1",
+      "name{label=\"bad \\t escape\"} 1",
+      "name{label=unquoted} 1",
+      "name{1label=\"v\"} 1",
+      "name{a=\"1\",a=\"2\"} 1",
+      "name{a=\"1\"b=\"2\"} 1",
+      "name{a=\"1\"",
+      "name\t1",
+      "name 1 12.5",
+      "name ++1",
+      "name 1e999",
+      "# TYPE name bogus",
+      "# TYPE name",
+      "# TYPE name counter\n# TYPE name gauge",
+      "name{a=\"1\"} 1\nname{a=\"1\"} 2",
+      "name{a=\"1\",b=\"2\"} 1\nname{b=\"2\",a=\"1\"} 2",
+  };
+  for (const char* text : kBad) {
+    auto page = ParsePrometheusText(text);
+    EXPECT_EQ(page.status().code(), util::StatusCode::kInvalidArgument)
+        << "accepted: " << text;
+  }
+  // The accepted corner cases: comments, blank lines, timestamps, a
+  // trailing comma and the special float tokens.
+  auto ok = ParsePrometheusText(
+      "# HELP name free text\n\n"
+      "name{a=\"1\",} 1 1700000000000\n"
+      "other NaN\nthird -Inf\nfourth +7\n");
+  ASSERT_TRUE(ok.ok()) << ok.status();
+  EXPECT_EQ(ok->samples.size(), 4u);
+  EXPECT_TRUE(std::isnan(ok->Value("other")));
+  EXPECT_EQ(ok->Value("fourth"), 7);
+}
+
+TEST(PromParseTest, MalformedHistogramsAreRejected) {
+  auto read = [](const std::string& text) {
+    auto page = ParsePrometheusText(text);
+    EXPECT_TRUE(page.ok()) << page.status();
+    return page->ReadHistogram("h").status().code();
+  };
+  const std::string tail = "h_sum 3\nh_count 2\nh_max 2\n";
+  EXPECT_EQ(read("h_bucket{le=\"2\"} 2\nh_bucket{le=\"+Inf\"} 2\n" + tail),
+            util::StatusCode::kOk);
+  // 3 is not a bucket edge of this build's histograms.
+  EXPECT_EQ(read("h_bucket{le=\"3\"} 2\nh_bucket{le=\"+Inf\"} 2\n" + tail),
+            util::StatusCode::kInvalidArgument);
+  // Cumulative counts must not decrease, and +Inf must close the series.
+  EXPECT_EQ(read("h_bucket{le=\"2\"} 2\nh_bucket{le=\"+Inf\"} 1\n" + tail),
+            util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(read("h_bucket{le=\"2\"} 2\n" + tail),
+            util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(read("h_bucket{le=\"+Inf\"} 2\nh_count 2\n"),
+            util::StatusCode::kInvalidArgument);  // no _sum / _max
+  EXPECT_EQ(read("h_bucket{le=\"+Inf\"} -2\n" + tail),
+            util::StatusCode::kInvalidArgument);
+}
+
 // ---------------------------------------------------------------------
 // Registry and HTTP exporter
 // ---------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -13,6 +14,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -84,6 +86,13 @@ ServiceOptions DeterministicOptions() {
   options.estimators = {"max-hop-max", "all-hops-avg", "molp", "cbs"};
   options.compact_trigger_ops = 0;  // maintenance only on explicit flush
   return options;
+}
+
+/// The parsed metrics page a kStats reply carries.
+obs::PromPage StatsPage(const wire::Response& response) {
+  auto page = obs::ParsePrometheusText(response.text);
+  EXPECT_TRUE(page.ok()) << page.status();
+  return page.ok() ? std::move(*page) : obs::PromPage();
 }
 
 /// Every estimate of `names` on `engine` for the workload's queries, in
@@ -273,17 +282,45 @@ TEST(WireTest, ErrorResponseRoundTrip) {
 }
 
 TEST(WireTest, StatsAndSwapRoundTrip) {
+  ServiceStats stats;
+  stats.served = 10;
+  stats.epoch = 2;
+  stats.mean_latency_micros = 55.5;
+  ServiceStats::EstimatorAccounting molp;
+  molp.name = "molp";
+  molp.mean_qerror = 3.25;
+  stats.estimators.push_back(molp);
+  stats.feedback_mode = FeedbackMode::kFrozen;
+  stats.corrections_applied = 7;
+  learn::FeedbackClassReport row;
+  row.key = "molp|P2|0,1";
+  row.display = "path2";
+  row.hits = 12;
+  row.samples = 8;
+  row.correction = 123.456;
+  row.active = true;
+  stats.corrections.push_back(row);
   wire::Response response;
   response.type = wire::MessageType::kStats;
-  response.stats.served = 10;
-  response.stats.epoch = 2;
-  response.stats.mean_latency_micros = 55.5;
-  response.stats.estimators = {{"molp", 10, 1, 12.5, 3.25}};
+  obs::PromWriter writer(&response.text);
+  WriteMetrics(stats, "", writer);
   auto decoded = wire::DecodeResponse(wire::EncodeResponse(response));
   ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_EQ(decoded->stats.served, 10u);
-  ASSERT_EQ(decoded->stats.estimators.size(), 1u);
-  EXPECT_EQ(decoded->stats.estimators[0].mean_qerror, 3.25);
+  const obs::PromPage page = StatsPage(*decoded);
+  EXPECT_EQ(page.Value("cegraph_requests_served_total"), 10);
+  EXPECT_EQ(page.Value("cegraph_serving_epoch"), 2);
+  EXPECT_EQ(page.Value("cegraph_request_mean_latency_micros"), 55.5);
+  EXPECT_EQ(page.Value("cegraph_estimator_mean_qerror",
+                       {{"estimator", "molp"}}),
+            3.25);
+  EXPECT_EQ(page.Value("cegraph_feedback_mode", {{"mode", "frozen"}}), 1);
+  EXPECT_EQ(page.Value("cegraph_corrections_applied_total"), 7);
+  const obs::PromMatch correction = {{"class", "path2"},
+                                     {"key", "molp|P2|0,1"}};
+  EXPECT_EQ(page.Value("cegraph_correction_hits_total", correction), 12);
+  EXPECT_EQ(page.Value("cegraph_correction_samples", correction), 8);
+  EXPECT_EQ(page.Value("cegraph_correction_factor", correction), 123.456);
+  EXPECT_EQ(page.Value("cegraph_correction_active", correction), 1);
 
   wire::Response swap;
   swap.type = wire::MessageType::kApplyDeltas;
@@ -748,7 +785,7 @@ TEST(TcpServerTest, LoopbackEstimateStatsShutdown) {
 
   auto stats = wire::RoundTrip(*fd, {wire::MessageType::kStats, ""});
   ASSERT_TRUE(stats.ok()) << stats.status();
-  EXPECT_GE(stats->stats.served, 1u);
+  EXPECT_GE(StatsPage(*stats).Value("cegraph_requests_served_total"), 1);
   ::close(*fd);
 
   // A second connection asks for shutdown; WaitUntilShutdown observes it.
@@ -933,8 +970,11 @@ TEST(TcpServerTest, MultiDatasetRoutingOverLoopback) {
   auto beta_stats = wire::RoundTrip(
       *fd, {wire::MessageType::kStats, "", "beta"});
   ASSERT_TRUE(beta_stats.ok() && beta_stats->status.ok());
-  EXPECT_EQ(alpha_stats->stats.served, 2u);  // routed + v1-default
-  EXPECT_EQ(beta_stats->stats.served, 1u);
+  // routed + v1-default
+  EXPECT_EQ(StatsPage(*alpha_stats).Value("cegraph_requests_served_total"),
+            2);
+  EXPECT_EQ(StatsPage(*beta_stats).Value("cegraph_requests_served_total"),
+            1);
 
   ::close(*fd);
   server.Stop();
@@ -1442,18 +1482,20 @@ TEST(ServiceTest, StatsQuantileSummariesPopulatedAndOrdered) {
   }
 
   const ServiceStats stats = (*service)->Stats();
-  EXPECT_EQ(stats.latency.count, 20u);
-  EXPECT_LE(stats.latency.p50, stats.latency.p90);
-  EXPECT_LE(stats.latency.p90, stats.latency.p99);
-  EXPECT_LE(stats.latency.p99, stats.latency.max);
+  const obs::QuantileSummary latency = stats.latency.Summary();
+  EXPECT_EQ(latency.count, 20u);
+  EXPECT_LE(latency.p50, latency.p90);
+  EXPECT_LE(latency.p90, latency.p99);
+  EXPECT_LE(latency.p99, latency.max);
   for (const ServiceStats::EstimatorAccounting& e : stats.estimators) {
+    const obs::QuantileSummary qerror = e.qerror.Summary();
     EXPECT_EQ(e.latency.count, e.requests) << e.name;
-    EXPECT_LE(e.qerror.count, e.requests) << e.name;
-    if (e.qerror.count > 0) {
+    EXPECT_LE(qerror.count, e.requests) << e.name;
+    if (qerror.count > 0) {
       // Q-errors are >= 1 by definition; the bucketed quantiles resolve
       // to upper bounds and can only stay at or above that floor.
-      EXPECT_GE(e.qerror.p50, 1.0) << e.name;
-      EXPECT_LE(e.qerror.p50, e.qerror.max) << e.name;
+      EXPECT_GE(qerror.p50, 1.0) << e.name;
+      EXPECT_LE(qerror.p50, qerror.max) << e.name;
     }
   }
 }
@@ -1469,86 +1511,76 @@ TEST(ServiceTest, RegistersPrometheusCollector) {
     ASSERT_TRUE(service.ok()) << service.status();
     EXPECT_EQ(registry.collector_count(), before + 1);
     ASSERT_TRUE((*service)->EstimateLine("(a)-[0]->(b)").ok());
+    // Two instances of one template: two scorecard classes that share
+    // the display name "twin" and differ only in their class key.
+    ASSERT_TRUE((*service)->EstimateLine("twin 100 (a)-[0]->(b)").ok());
+    ASSERT_TRUE((*service)->EstimateLine("twin 100 (a)-[1]->(b)").ok());
 
     const std::string page = registry.RenderPrometheus();
     EXPECT_NE(
         page.find(
-            "cegraph_requests_served_total{dataset=\"obs_test_ds\"} 1"),
+            "cegraph_requests_served_total{dataset=\"obs_test_ds\"} 3"),
         std::string::npos);
     EXPECT_NE(page.find("cegraph_request_latency_micros_count"
-                        "{dataset=\"obs_test_ds\"} 1"),
+                        "{dataset=\"obs_test_ds\"} 3"),
               std::string::npos);
     EXPECT_NE(page.find("cegraph_estimator_latency_micros_bucket"),
               std::string::npos);
     EXPECT_NE(page.find("cegraph_cache_entries"), std::string::npos);
+
+    // No series line repeats: every sample's name and labels (its text
+    // up to the value) is unique on the page...
+    std::set<std::string> series;
+    std::istringstream lines(page);
+    for (std::string line; std::getline(lines, line);) {
+      if (line.empty() || line[0] == '#') continue;
+      EXPECT_TRUE(series.insert(line.substr(0, line.rfind(' '))).second)
+          << "repeated series: " << line;
+    }
+    // ...and the parser, which rejects repeats, reads both twin classes.
+    auto parsed = obs::ParsePrometheusText(page);
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    EXPECT_EQ(parsed->Select("cegraph_scorecard_hits_total",
+                             {{"class", "twin"}})
+                  .size(),
+              2u);
   }
   // The destructor must deregister — a dead collector on the global
   // registry is a use-after-free on the next scrape.
   EXPECT_EQ(registry.collector_count(), before);
 }
 
-TEST(TcpServerTest, StatsV4ExtensionOverLoopback) {
-  obs::SetMetricsEnabled(true);
-  auto service = EstimationService::Create(SmallGraph(),
-                                           DeterministicOptions());
-  ASSERT_TRUE(service.ok()) << service.status();
-  ServerOptions server_options;
-  server_options.workers = 2;
-  TcpServer server(**service, server_options);
-  ASSERT_TRUE(server.Start().ok());
-
-  auto fd = wire::DialTcp("127.0.0.1", server.port());
-  ASSERT_TRUE(fd.ok()) << fd.status();
-  for (int i = 0; i < 5; ++i) {
-    auto estimate = wire::RoundTrip(
-        *fd, {wire::MessageType::kEstimate, "t 100 (a)-[0]->(b)"});
-    ASSERT_TRUE(estimate.ok()) << estimate.status();
-    ASSERT_TRUE(estimate->status.ok()) << estimate->status;
+/// Series identities of `page`: the name plus every label but `le`, so
+/// a histogram's buckets collapse onto their series. With `scopes`, only
+/// samples carrying one of the listed label pairs count.
+std::set<std::string> SeriesSet(const obs::PromPage& page,
+                                const obs::PromMatch& scopes = {}) {
+  std::set<std::string> out;
+  for (const obs::PromSample& sample : page.samples) {
+    if (!scopes.empty() &&
+        std::none_of(scopes.begin(), scopes.end(), [&](const auto& scope) {
+          return sample.Label(scope.first) == scope.second;
+        })) {
+      continue;
+    }
+    std::string id = sample.name;
+    for (const auto& [key, value] : sample.labels) {
+      if (key != "le") id += "," + key + "=" + value;
+    }
+    out.insert(std::move(id));
   }
-
-  // A plain stats request gets the v3 reply — no extension, so old
-  // clients see byte-compatible frames.
-  auto v3 = wire::RoundTrip(*fd, {wire::MessageType::kStats, ""});
-  ASSERT_TRUE(v3.ok()) << v3.status();
-  ASSERT_TRUE(v3->status.ok()) << v3->status;
-  EXPECT_FALSE(v3->stats.v4_wire);
-  EXPECT_FALSE(v3->stats.server.present);
-  EXPECT_GE(v3->stats.served, 5u);
-
-  // Opting in via text == "v4" unlocks the full observability block.
-  auto v4 = wire::RoundTrip(
-      *fd,
-      {wire::MessageType::kStats, std::string(wire::kStatsV4Token)});
-  ASSERT_TRUE(v4.ok()) << v4.status();
-  ASSERT_TRUE(v4->status.ok()) << v4->status;
-  EXPECT_TRUE(v4->stats.v4_wire);
-  ASSERT_TRUE(v4->stats.server.present);
-  EXPECT_GE(v4->stats.server.connections_accepted, 1u);
-  EXPECT_GE(v4->stats.server.frames_estimate, 5u);
-  EXPECT_GT(v4->stats.server.bytes_in, 0u);
-  EXPECT_GT(v4->stats.server.bytes_out, 0u);
-  EXPECT_GE(v4->stats.latency.count, 5u);
-  EXPECT_GE(v4->stats.admitted_weight, 5u);
-  EXPECT_FALSE(v4->stats.caches.empty());
-  ASSERT_EQ(v4->stats.estimators.size(), 4u);
-  for (const ServiceStats::EstimatorAccounting& e : v4->stats.estimators) {
-    EXPECT_EQ(e.latency.count, e.requests) << e.name;
-    // Only estimators with usable truth samples carry q-error quantiles;
-    // when they do, the summary must agree with the v3 mean's presence.
-    if (e.mean_qerror > 0) EXPECT_GE(e.qerror.count, 1u) << e.name;
-  }
-
-  ::close(*fd);
-  server.Stop();
+  return out;
 }
 
-TEST(TcpServerTest, ShedCountersTravelInV4Stats) {
-  // Overflow the pipeline cap, then read the per-bound shed breakdown
-  // back through the wire: the v4 block must attribute the rejections to
-  // the pipeline bound, not lump them into one opaque total.
+TEST(TcpServerTest, StatsFrameCarriesTheMetricsSeries) {
+  // The stats reply is the metrics page of the routed dataset's service
+  // plus the server: exactly the series /metrics renders for those two
+  // collectors. A pipeline-cap overflow first gives the shed counters a
+  // value, which the page must attribute to the pipeline bound.
   obs::SetMetricsEnabled(true);
-  auto service = EstimationService::Create(SmallGraph(),
-                                           DeterministicOptions());
+  ServiceOptions options = DeterministicOptions();
+  options.metrics_label = "stats_frame_ds";
+  auto service = EstimationService::Create(SmallGraph(), options);
   ASSERT_TRUE(service.ok()) << service.status();
   ServerOptions server_options;
   server_options.workers = 1;
@@ -1558,6 +1590,12 @@ TEST(TcpServerTest, ShedCountersTravelInV4Stats) {
 
   auto fd = wire::DialTcp("127.0.0.1", server.port());
   ASSERT_TRUE(fd.ok()) << fd.status();
+  for (int i = 0; i < 3; ++i) {
+    auto estimate = wire::RoundTrip(
+        *fd, {wire::MessageType::kEstimate, "t 100 (a)-[0]->(b)"});
+    ASSERT_TRUE(estimate.ok()) << estimate.status();
+    ASSERT_TRUE(estimate->status.ok()) << estimate->status;
+  }
   // Blast 32 pings in one buffer and one write so they hit the parser in
   // a single readiness callback; anything beyond the 2-frame pipeline
   // window is shed with a RESOURCE_EXHAUSTED frame.
@@ -1594,17 +1632,50 @@ TEST(TcpServerTest, ShedCountersTravelInV4Stats) {
   }
   EXPECT_GT(shed_seen, 0u);
   EXPECT_EQ(server.shed_pipeline_cap(), shed_seen);
-  EXPECT_EQ(server.overload_rejections(), shed_seen);
 
-  auto v4 = wire::RoundTrip(
-      *fd,
-      {wire::MessageType::kStats, std::string(wire::kStatsV4Token)});
-  ASSERT_TRUE(v4.ok()) << v4.status();
-  ASSERT_TRUE(v4->status.ok()) << v4->status;
-  ASSERT_TRUE(v4->stats.server.present);
-  EXPECT_EQ(v4->stats.server.shed_pipeline_cap, shed_seen);
-  EXPECT_EQ(v4->stats.server.shed_connection_cap, 0u);
-  EXPECT_EQ(v4->stats.server.shed_queue_cap, 0u);
+  auto stats = wire::RoundTrip(*fd, {wire::MessageType::kStats, ""});
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  ASSERT_TRUE(stats->status.ok()) << stats->status;
+  const obs::PromPage frame = StatsPage(*stats);
+  auto scraped = obs::ParsePrometheusText(
+      obs::MetricsRegistry::Global().RenderPrometheus());
+  ASSERT_TRUE(scraped.ok()) << scraped.status();
+  const std::string listen = "127.0.0.1:" + std::to_string(server.port());
+  EXPECT_EQ(SeriesSet(frame),
+            SeriesSet(*scraped, {{"dataset", "stats_frame_ds"},
+                                 {"listen", listen}}));
+
+  EXPECT_EQ(frame.Value("cegraph_server_shed_total",
+                        {{"reason", "pipeline_cap"}}),
+            static_cast<double>(shed_seen));
+  EXPECT_EQ(frame.Value("cegraph_server_shed_total",
+                        {{"reason", "connection_cap"}}),
+            0);
+  EXPECT_EQ(frame.Value("cegraph_server_shed_total", {{"reason", "queue_cap"}}),
+            0);
+  EXPECT_GE(frame.Value("cegraph_server_frames_total", {{"type", "estimate"}}),
+            3);
+  EXPECT_GE(frame.Value("cegraph_server_connections_accepted_total"), 1);
+  EXPECT_GT(frame.Value("cegraph_server_bytes_in_total"), 0);
+  EXPECT_GT(frame.Value("cegraph_server_bytes_out_total"), 0);
+  EXPECT_EQ(frame.Value("cegraph_requests_served_total"), 3);
+  EXPECT_EQ(frame.Value("cegraph_request_latency_micros_count"), 3);
+  EXPECT_GE(frame.Value("cegraph_admitted_weight_units_total"), 3);
+  EXPECT_EQ(frame.Select("cegraph_scorecard_hits_total").size(), 1u);
+  EXPECT_FALSE(frame.Select("cegraph_cache_entries").empty());
+  // The page's histograms rebuild to exactly the snapshots the service
+  // holds, so a client prints the server's own Summary().
+  const ServiceStats direct = (*service)->Stats();
+  ASSERT_EQ(direct.estimators.size(), 4u);
+  for (const ServiceStats::EstimatorAccounting& e : direct.estimators) {
+    auto latency = frame.ReadHistogram("cegraph_estimator_latency_micros",
+                                       {{"estimator", e.name}});
+    ASSERT_TRUE(latency.ok()) << latency.status();
+    EXPECT_EQ(latency->count, e.requests) << e.name;
+    EXPECT_EQ(latency->buckets, e.latency.buckets) << e.name;
+    EXPECT_EQ(latency->sum, e.latency.sum) << e.name;
+    EXPECT_EQ(latency->max, e.latency.max) << e.name;
+  }
 
   ::close(*fd);
   server.Stop();

@@ -3,11 +3,12 @@
 // `dataset` field and the v3 batch frames included), and random byte
 // mutations of valid frames — or outright random bytes — must never crash
 // the decoders (they return a clean Status instead; ASan/UBSan in CI turns
-// any lurking UB into a failure). Golden-byte tests pin the v1/v2/v3
-// layouts: adding the v3 batch type (and later the v4 stats extension)
-// must not shift a single byte of the frames old clients and servers
-// exchange. The seed is logged on every run so a failure reproduces with
-// CEGRAPH_FUZZ_SEED=<seed>.
+// any lurking UB into a failure). The same holds for the metrics page a
+// v6 stats reply carries: obs::ParsePrometheusText reads it as untrusted
+// input. Golden-byte tests pin the v1/v2/v3/v5/v6 layouts: a later
+// revision must not shift a single byte of the frames old clients and
+// servers exchange. The seed is logged on every run so a failure
+// reproduces with CEGRAPH_FUZZ_SEED=<seed>.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -112,27 +113,73 @@ EstimateResponse RandomEstimate(Fuzz& fuzz) {
   return estimate;
 }
 
-obs::QuantileSummary RandomSummary(Fuzz& fuzz) {
-  obs::QuantileSummary s;
-  s.count = fuzz.U64();
-  s.mean = fuzz.FiniteDouble();
-  s.p50 = fuzz.FiniteDouble();
-  s.p90 = fuzz.FiniteDouble();
-  s.p99 = fuzz.FiniteDouble();
-  s.max = fuzz.FiniteDouble();
-  return s;
-}
-
 SnapshotLoadBreakdown RandomLoadBreakdown(Fuzz& fuzz) {
   SnapshotLoadBreakdown load;
   load.loaded = fuzz.Coin();
   load.mapped = fuzz.Coin();
   load.mapped_bytes = fuzz.U64();
   load.map_millis = fuzz.FiniteDouble();
-  load.parse_millis = fuzz.FiniteDouble();
+  load.materialize_millis = fuzz.FiniteDouble();
   load.snapshot_epoch = fuzz.U64();
   return load;
 }
+
+obs::HistogramSnapshot RandomHistogram(Fuzz& fuzz) {
+  obs::HistogramSnapshot h;
+  for (int i = 0; i < 6; ++i) {
+    const uint64_t n = fuzz.Index(1000);
+    h.buckets[fuzz.Index(obs::kHistogramBuckets)] += n;
+    h.count += n;
+  }
+  h.sum = fuzz.FiniteDouble();
+  h.max = fuzz.FiniteDouble();
+  return h;
+}
+
+/// A service's stats with every row kind present and hostile label text
+/// (arbitrary bytes: quotes, backslashes, newlines) in every name.
+ServiceStats RandomStats(Fuzz& fuzz) {
+  ServiceStats stats;
+  stats.served = fuzz.U32();
+  stats.epoch = fuzz.U32();
+  stats.mean_latency_micros = fuzz.FiniteDouble();
+  stats.latency = RandomHistogram(fuzz);
+  stats.batch_lines = RandomHistogram(fuzz);
+  stats.snapshot_load = RandomLoadBreakdown(fuzz);
+  for (int i = 0; i < 2; ++i) {
+    ServiceStats::EstimatorAccounting e;
+    e.name = std::to_string(i) + fuzz.Bytes(16);
+    e.requests = fuzz.U32();
+    e.mean_qerror = fuzz.FiniteDouble();
+    e.latency = RandomHistogram(fuzz);
+    e.qerror = RandomHistogram(fuzz);
+    stats.estimators.push_back(std::move(e));
+  }
+  stats.caches.push_back({fuzz.Bytes(16), fuzz.U32(), fuzz.U32(), 0, 0});
+  stats.recent.push_back({"1m", fuzz.FiniteDouble(), RandomHistogram(fuzz)});
+  obs::ScorecardClassReport row;
+  row.key = fuzz.Bytes(24);
+  row.display = fuzz.Bytes(24);
+  row.hits = fuzz.U32();
+  row.worst.line = fuzz.Bytes(48);
+  row.worst.estimator = fuzz.Bytes(8);
+  row.worst.qerror = fuzz.FiniteDouble();
+  stats.scorecard.push_back(std::move(row));
+  learn::FeedbackClassReport correction;
+  correction.key = fuzz.Bytes(24);
+  correction.display = fuzz.Bytes(24);
+  correction.correction = fuzz.FiniteDouble();
+  stats.corrections.push_back(std::move(correction));
+  return stats;
+}
+
+std::string RenderPage(const ServiceStats& stats) {
+  std::string page;
+  obs::PromWriter writer(&page);
+  WriteMetrics(stats, "dataset=\"fuzz\"", writer);
+  return page;
+}
+
 
 Response RandomResponse(Fuzz& fuzz) {
   Response response;
@@ -160,98 +207,10 @@ Response RandomResponse(Fuzz& fuzz) {
         response.swap.snapshot_replayed_deltas = fuzz.U32();
         response.swap.snapshot_load = RandomLoadBreakdown(fuzz);
         break;
-      case MessageType::kStats: {
-        response.stats.served = fuzz.U64();
-        response.stats.rejected = fuzz.U64();
-        response.stats.request_errors = fuzz.U64();
-        response.stats.swaps = fuzz.U64();
-        response.stats.epoch = fuzz.U64();
-        response.stats.version = fuzz.U64();
-        response.stats.pending_delta_ops = fuzz.U32();
-        response.stats.replay_log_ops = fuzz.U32();
-        response.stats.min_replayable_epoch = fuzz.U64();
-        response.stats.in_flight = static_cast<int64_t>(fuzz.U32());
-        response.stats.peak_in_flight = static_cast<int64_t>(fuzz.U32());
-        response.stats.mean_latency_micros = fuzz.FiniteDouble();
-        const size_t estimators = fuzz.Index(4);
-        for (size_t i = 0; i < estimators; ++i) {
-          ServiceStats::EstimatorAccounting e;
-          e.name = fuzz.Bytes(24);
-          e.requests = fuzz.U64();
-          e.failures = fuzz.U64();
-          e.mean_micros = fuzz.FiniteDouble();
-          e.mean_qerror = fuzz.FiniteDouble();
-          response.stats.estimators.push_back(std::move(e));
-        }
-        response.stats.snapshot_load = RandomLoadBreakdown(fuzz);
-        if (fuzz.Coin()) {
-          // v4: the observability extension rides as a trailing string.
-          response.stats.v4_wire = true;
-          response.stats.latency = RandomSummary(fuzz);
-          response.stats.batch_lines = RandomSummary(fuzz);
-          response.stats.fold_millis = RandomSummary(fuzz);
-          response.stats.admitted_weight = fuzz.U64();
-          response.stats.rejected_weight = fuzz.U64();
-          response.stats.snapshot_loads = fuzz.U64();
-          response.stats.server.present = fuzz.Coin();
-          response.stats.server.connections_accepted = fuzz.U64();
-          response.stats.server.connections_active = fuzz.U64();
-          response.stats.server.shed_connection_cap = fuzz.U64();
-          response.stats.server.shed_pipeline_cap = fuzz.U64();
-          response.stats.server.shed_queue_cap = fuzz.U64();
-          response.stats.server.backpressure_events = fuzz.U64();
-          response.stats.server.bytes_in = fuzz.U64();
-          response.stats.server.bytes_out = fuzz.U64();
-          response.stats.server.frames_estimate = fuzz.U64();
-          response.stats.server.frames_batch = fuzz.U64();
-          response.stats.server.frames_other = fuzz.U64();
-          const size_t caches = fuzz.Index(4);
-          for (size_t i = 0; i < caches; ++i) {
-            ServiceStats::CacheRow cache;
-            cache.name = fuzz.Bytes(24);
-            cache.entries = fuzz.U64();
-            cache.hits = fuzz.U64();
-            cache.misses = fuzz.U64();
-            cache.evictions = fuzz.U64();
-            response.stats.caches.push_back(std::move(cache));
-          }
-          for (ServiceStats::EstimatorAccounting& e :
-               response.stats.estimators) {
-            e.latency = RandomSummary(fuzz);
-            e.qerror = RandomSummary(fuzz);
-          }
-          if (fuzz.Coin()) {
-            // v5: the scorecard extension rides as another trailing
-            // string (opting in implies the v4 extension, so it only
-            // appears inside this branch).
-            response.stats.scorecard_wire = true;
-            response.stats.any_drift = fuzz.Coin();
-            response.stats.scorecard_window_seconds =
-                static_cast<int64_t>(fuzz.U32());
-            response.stats.latency_1m = RandomSummary(fuzz);
-            response.stats.rate_1m = fuzz.FiniteDouble();
-            const size_t classes = fuzz.Index(4);
-            for (size_t i = 0; i < classes; ++i) {
-              obs::ScorecardClassReport row;
-              row.key = fuzz.Bytes(24);
-              row.display = fuzz.Bytes(24);
-              row.hits = fuzz.U64();
-              row.under = fuzz.U64();
-              row.over = fuzz.U64();
-              row.qerror = RandomSummary(fuzz);
-              row.baseline_median = fuzz.FiniteDouble();
-              row.drifted = fuzz.Coin();
-              row.worst.qerror = fuzz.FiniteDouble();
-              row.worst.line = fuzz.Bytes(48);
-              row.worst.estimate = fuzz.FiniteDouble();
-              row.worst.truth = fuzz.FiniteDouble();
-              row.worst.estimator = fuzz.Bytes(16);
-              response.stats.scorecard.push_back(std::move(row));
-            }
-          }
-        }
+      case MessageType::kStats:
+        // v6: the body is one string, the metrics page.
+        response.text = RenderPage(RandomStats(fuzz));
         break;
-      }
       case MessageType::kPing:
       case MessageType::kShutdown:
         response.text = fuzz.Bytes(48);
@@ -277,16 +236,6 @@ Response RandomResponse(Fuzz& fuzz) {
   // v5: the request-id echo travels on error responses too.
   if (fuzz.Coin()) response.request_id = fuzz.U64();
   return response;
-}
-
-void ExpectEqualSummary(const obs::QuantileSummary& a,
-                        const obs::QuantileSummary& b) {
-  EXPECT_EQ(a.count, b.count);
-  EXPECT_EQ(a.mean, b.mean);
-  EXPECT_EQ(a.p50, b.p50);
-  EXPECT_EQ(a.p90, b.p90);
-  EXPECT_EQ(a.p99, b.p99);
-  EXPECT_EQ(a.max, b.max);
 }
 
 void ExpectEqual(const Request& a, const Request& b) {
@@ -324,7 +273,7 @@ void ExpectEqualLoad(const SnapshotLoadBreakdown& a,
   EXPECT_EQ(a.mapped, b.mapped);
   EXPECT_EQ(a.mapped_bytes, b.mapped_bytes);
   EXPECT_EQ(a.map_millis, b.map_millis);
-  EXPECT_EQ(a.parse_millis, b.parse_millis);
+  EXPECT_EQ(a.materialize_millis, b.materialize_millis);
   EXPECT_EQ(a.snapshot_epoch, b.snapshot_epoch);
 }
 
@@ -359,106 +308,7 @@ void ExpectEqual(const Response& a, const Response& b) {
                 b.swap.snapshot_replayed_deltas);
       ExpectEqualLoad(a.swap.snapshot_load, b.swap.snapshot_load);
       break;
-    case MessageType::kStats: {
-      EXPECT_EQ(a.stats.served, b.stats.served);
-      EXPECT_EQ(a.stats.rejected, b.stats.rejected);
-      EXPECT_EQ(a.stats.request_errors, b.stats.request_errors);
-      EXPECT_EQ(a.stats.swaps, b.stats.swaps);
-      EXPECT_EQ(a.stats.epoch, b.stats.epoch);
-      EXPECT_EQ(a.stats.version, b.stats.version);
-      EXPECT_EQ(a.stats.pending_delta_ops, b.stats.pending_delta_ops);
-      EXPECT_EQ(a.stats.replay_log_ops, b.stats.replay_log_ops);
-      EXPECT_EQ(a.stats.min_replayable_epoch,
-                b.stats.min_replayable_epoch);
-      EXPECT_EQ(a.stats.in_flight, b.stats.in_flight);
-      EXPECT_EQ(a.stats.peak_in_flight, b.stats.peak_in_flight);
-      EXPECT_EQ(a.stats.mean_latency_micros, b.stats.mean_latency_micros);
-      ASSERT_EQ(a.stats.estimators.size(), b.stats.estimators.size());
-      for (size_t i = 0; i < a.stats.estimators.size(); ++i) {
-        EXPECT_EQ(a.stats.estimators[i].name, b.stats.estimators[i].name);
-        EXPECT_EQ(a.stats.estimators[i].requests,
-                  b.stats.estimators[i].requests);
-        EXPECT_EQ(a.stats.estimators[i].failures,
-                  b.stats.estimators[i].failures);
-        EXPECT_EQ(a.stats.estimators[i].mean_micros,
-                  b.stats.estimators[i].mean_micros);
-        EXPECT_EQ(a.stats.estimators[i].mean_qerror,
-                  b.stats.estimators[i].mean_qerror);
-      }
-      ExpectEqualLoad(a.stats.snapshot_load, b.stats.snapshot_load);
-      EXPECT_EQ(a.stats.v4_wire, b.stats.v4_wire);
-      if (a.stats.v4_wire) {
-        ExpectEqualSummary(a.stats.latency, b.stats.latency);
-        ExpectEqualSummary(a.stats.batch_lines, b.stats.batch_lines);
-        ExpectEqualSummary(a.stats.fold_millis, b.stats.fold_millis);
-        EXPECT_EQ(a.stats.admitted_weight, b.stats.admitted_weight);
-        EXPECT_EQ(a.stats.rejected_weight, b.stats.rejected_weight);
-        EXPECT_EQ(a.stats.snapshot_loads, b.stats.snapshot_loads);
-        EXPECT_EQ(a.stats.server.present, b.stats.server.present);
-        EXPECT_EQ(a.stats.server.connections_accepted,
-                  b.stats.server.connections_accepted);
-        EXPECT_EQ(a.stats.server.connections_active,
-                  b.stats.server.connections_active);
-        EXPECT_EQ(a.stats.server.shed_connection_cap,
-                  b.stats.server.shed_connection_cap);
-        EXPECT_EQ(a.stats.server.shed_pipeline_cap,
-                  b.stats.server.shed_pipeline_cap);
-        EXPECT_EQ(a.stats.server.shed_queue_cap,
-                  b.stats.server.shed_queue_cap);
-        EXPECT_EQ(a.stats.server.backpressure_events,
-                  b.stats.server.backpressure_events);
-        EXPECT_EQ(a.stats.server.bytes_in, b.stats.server.bytes_in);
-        EXPECT_EQ(a.stats.server.bytes_out, b.stats.server.bytes_out);
-        EXPECT_EQ(a.stats.server.frames_estimate,
-                  b.stats.server.frames_estimate);
-        EXPECT_EQ(a.stats.server.frames_batch,
-                  b.stats.server.frames_batch);
-        EXPECT_EQ(a.stats.server.frames_other,
-                  b.stats.server.frames_other);
-        ASSERT_EQ(a.stats.caches.size(), b.stats.caches.size());
-        for (size_t i = 0; i < a.stats.caches.size(); ++i) {
-          EXPECT_EQ(a.stats.caches[i].name, b.stats.caches[i].name);
-          EXPECT_EQ(a.stats.caches[i].entries, b.stats.caches[i].entries);
-          EXPECT_EQ(a.stats.caches[i].hits, b.stats.caches[i].hits);
-          EXPECT_EQ(a.stats.caches[i].misses, b.stats.caches[i].misses);
-          EXPECT_EQ(a.stats.caches[i].evictions,
-                    b.stats.caches[i].evictions);
-        }
-        for (size_t i = 0; i < a.stats.estimators.size(); ++i) {
-          ExpectEqualSummary(a.stats.estimators[i].latency,
-                             b.stats.estimators[i].latency);
-          ExpectEqualSummary(a.stats.estimators[i].qerror,
-                             b.stats.estimators[i].qerror);
-        }
-      }
-      EXPECT_EQ(a.stats.scorecard_wire, b.stats.scorecard_wire);
-      if (a.stats.scorecard_wire) {
-        EXPECT_EQ(a.stats.any_drift, b.stats.any_drift);
-        EXPECT_EQ(a.stats.scorecard_window_seconds,
-                  b.stats.scorecard_window_seconds);
-        ExpectEqualSummary(a.stats.latency_1m, b.stats.latency_1m);
-        EXPECT_EQ(a.stats.rate_1m, b.stats.rate_1m);
-        ASSERT_EQ(a.stats.scorecard.size(), b.stats.scorecard.size());
-        for (size_t i = 0; i < a.stats.scorecard.size(); ++i) {
-          const obs::ScorecardClassReport& x = a.stats.scorecard[i];
-          const obs::ScorecardClassReport& y = b.stats.scorecard[i];
-          EXPECT_EQ(x.key, y.key);
-          EXPECT_EQ(x.display, y.display);
-          EXPECT_EQ(x.hits, y.hits);
-          EXPECT_EQ(x.under, y.under);
-          EXPECT_EQ(x.over, y.over);
-          ExpectEqualSummary(x.qerror, y.qerror);
-          EXPECT_EQ(x.baseline_median, y.baseline_median);
-          EXPECT_EQ(x.drifted, y.drifted);
-          EXPECT_EQ(x.worst.qerror, y.worst.qerror);
-          EXPECT_EQ(x.worst.line, y.worst.line);
-          EXPECT_EQ(x.worst.estimate, y.worst.estimate);
-          EXPECT_EQ(x.worst.truth, y.worst.truth);
-          EXPECT_EQ(x.worst.estimator, y.worst.estimator);
-        }
-      }
-      break;
-    }
+    case MessageType::kStats:
     case MessageType::kPing:
     case MessageType::kShutdown:
       EXPECT_EQ(a.text, b.text);
@@ -544,6 +394,7 @@ TEST(WireFuzzTest, RandomGarbageNeverCrashesEitherDecoder) {
     const std::string garbage = fuzz.Bytes(128);
     (void)DecodeRequest(garbage);
     (void)DecodeResponse(garbage);
+    (void)obs::ParsePrometheusText(garbage);
   }
 }
 
@@ -657,160 +508,7 @@ TEST(WireFuzzTest, GoldenV3BatchRequestBytesAreStable) {
   ExpectEqual(request, *decoded);
 }
 
-// ---- v4 stats extension ----
-
-void WriteGoldenSummary(util::serde::Writer& w, uint64_t count,
-                        double mean, double p50, double p90, double p99,
-                        double max) {
-  w.WriteU64(count);
-  w.WriteDouble(mean);
-  w.WriteDouble(p50);
-  w.WriteDouble(p90);
-  w.WriteDouble(p99);
-  w.WriteDouble(max);
-}
-
-/// The v3 stats body for a server with one estimator and fixed numbers —
-/// shared by the golden v3 and golden v4 tests below.
-void WriteGoldenStatsBody(util::serde::Writer& w) {
-  w.WriteU64(100);  // served
-  w.WriteU64(3);    // rejected
-  w.WriteU64(2);    // request_errors
-  w.WriteU64(1);    // swaps
-  w.WriteU64(9);    // epoch
-  w.WriteU64(4);    // version
-  w.WriteU64(0);    // pending_delta_ops
-  w.WriteU64(0);    // replay_log_ops
-  w.WriteU64(9);    // min_replayable_epoch
-  w.WriteU64(0);    // in_flight
-  w.WriteU64(8);    // peak_in_flight
-  w.WriteDouble(12.5);  // mean_latency_micros
-  w.WriteU32(1);        // estimator count
-  w.WriteString("molp");
-  w.WriteU64(100);     // requests
-  w.WriteU64(0);       // failures
-  w.WriteDouble(7.0);  // mean_micros
-  w.WriteDouble(1.5);  // mean_qerror
-  w.WriteU8(0);        // load.loaded
-  w.WriteU8(0);        // load.mapped
-  w.WriteU64(0);       // load.mapped_bytes
-  w.WriteDouble(0);    // load.map_millis
-  w.WriteDouble(0);    // load.parse_millis
-  w.WriteU64(0);       // load.snapshot_epoch
-}
-
-ServiceStats GoldenStats() {
-  ServiceStats stats;
-  stats.served = 100;
-  stats.rejected = 3;
-  stats.request_errors = 2;
-  stats.swaps = 1;
-  stats.epoch = 9;
-  stats.version = 4;
-  stats.min_replayable_epoch = 9;
-  stats.peak_in_flight = 8;
-  stats.mean_latency_micros = 12.5;
-  ServiceStats::EstimatorAccounting e;
-  e.name = "molp";
-  e.requests = 100;
-  e.mean_micros = 7.0;
-  e.mean_qerror = 1.5;
-  stats.estimators.push_back(std::move(e));
-  return stats;
-}
-
-TEST(WireFuzzTest, GoldenV3StatsResponseBytesAreStable) {
-  // A v3 stats reply (no extension requested) must stay byte-identical
-  // to the pre-v4 layout, and decode with v4_wire unset.
-  Response response;
-  response.type = MessageType::kStats;
-  response.stats = GoldenStats();
-
-  util::serde::Writer w;
-  w.WriteU8(0);       // status code OK
-  w.WriteString("");  // status message
-  w.WriteU8(4);       // kStats
-  WriteGoldenStatsBody(w);
-  const std::string golden = w.TakeBuffer();
-
-  EXPECT_EQ(EncodeResponse(response), golden);
-  auto decoded = DecodeResponse(golden);
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_FALSE(decoded->stats.v4_wire);
-  ExpectEqual(response, *decoded);
-}
-
-TEST(WireFuzzTest, GoldenV4StatsExtensionBytesAreStable) {
-  Response response;
-  response.type = MessageType::kStats;
-  response.stats = GoldenStats();
-  response.stats.v4_wire = true;
-  response.stats.latency = {100, 12.5, 10.0, 20.0, 40.0, 80.0};
-  response.stats.admitted_weight = 97;
-  response.stats.rejected_weight = 3;
-  response.stats.snapshot_loads = 1;
-  response.stats.server.present = true;
-  response.stats.server.connections_accepted = 5;
-  response.stats.server.connections_active = 2;
-  response.stats.server.bytes_in = 4096;
-  response.stats.server.bytes_out = 8192;
-  response.stats.server.frames_estimate = 100;
-  ServiceStats::CacheRow cache;
-  cache.name = "ceg";
-  cache.entries = 10;
-  cache.hits = 90;
-  cache.misses = 10;
-  response.stats.caches.push_back(std::move(cache));
-  response.stats.estimators[0].latency = {100, 7.0, 6.0, 9.0, 11.0, 13.0};
-  response.stats.estimators[0].qerror = {100, 1.5, 1.2, 2.0, 3.0, 4.0};
-
-  util::serde::Writer ext;
-  ext.WriteRaw(std::string_view("\xff" "CG4", 4));
-  ext.WriteU8(1);  // ext version
-  WriteGoldenSummary(ext, 100, 12.5, 10.0, 20.0, 40.0, 80.0);  // latency
-  WriteGoldenSummary(ext, 0, 0, 0, 0, 0, 0);                   // batch_lines
-  WriteGoldenSummary(ext, 0, 0, 0, 0, 0, 0);                   // fold_millis
-  ext.WriteU64(97);  // admitted_weight
-  ext.WriteU64(3);   // rejected_weight
-  ext.WriteU64(1);   // snapshot_loads
-  ext.WriteU8(1);    // server.present
-  ext.WriteU64(5);   // connections_accepted
-  ext.WriteU64(2);   // connections_active
-  ext.WriteU64(0);   // shed_connection_cap
-  ext.WriteU64(0);   // shed_pipeline_cap
-  ext.WriteU64(0);   // shed_queue_cap
-  ext.WriteU64(0);   // backpressure_events
-  ext.WriteU64(4096);  // bytes_in
-  ext.WriteU64(8192);  // bytes_out
-  ext.WriteU64(100);   // frames_estimate
-  ext.WriteU64(0);     // frames_batch
-  ext.WriteU64(0);     // frames_other
-  ext.WriteU32(1);     // cache rows
-  ext.WriteString("ceg");
-  ext.WriteU64(10);  // entries
-  ext.WriteU64(90);  // hits
-  ext.WriteU64(10);  // misses
-  ext.WriteU64(0);   // evictions
-  ext.WriteU32(1);   // estimator summaries, index-aligned
-  WriteGoldenSummary(ext, 100, 7.0, 6.0, 9.0, 11.0, 13.0);
-  WriteGoldenSummary(ext, 100, 1.5, 1.2, 2.0, 3.0, 4.0);
-
-  util::serde::Writer w;
-  w.WriteU8(0);       // status code OK
-  w.WriteString("");  // status message
-  w.WriteU8(4);       // kStats
-  WriteGoldenStatsBody(w);
-  w.WriteString(ext.TakeBuffer());  // the extension trails as a string
-  const std::string golden = w.TakeBuffer();
-
-  EXPECT_EQ(EncodeResponse(response), golden);
-  auto decoded = DecodeResponse(golden);
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_TRUE(decoded->stats.v4_wire);
-  ExpectEqual(response, *decoded);
-}
-
-// ---- v5 request-id and scorecard extensions ----
+// ---- v5 request-id extension ----
 
 TEST(WireFuzzTest, GoldenV5RequestIdRequestBytesAreStable) {
   Request request;
@@ -863,85 +561,79 @@ TEST(WireFuzzTest, GoldenV5RequestIdEchoOnErrorResponseBytesAreStable) {
   ExpectEqual(response, *decoded);
 }
 
-TEST(WireFuzzTest, GoldenV5ScorecardExtensionBytesAreStable) {
+// ---- v6 stats reply ----
+
+TEST(WireFuzzTest, GoldenV6StatsResponseBytesAreStable) {
+  // The stats body is one string: the metrics page, then the trailing
+  // fields as on every other frame.
+  const std::string page =
+      "# TYPE cegraph_requests_served_total counter\n"
+      "cegraph_requests_served_total{dataset=\"alpha\"} 100\n";
   Response response;
   response.type = MessageType::kStats;
-  response.stats = GoldenStats();
-  response.stats.v4_wire = true;  // the v5 opt-in implies v4
-  response.stats.scorecard_wire = true;
-  response.stats.any_drift = true;
-  response.stats.scorecard_window_seconds = 900;
-  response.stats.latency_1m = {60, 11.0, 10.0, 18.0, 30.0, 55.0};
-  response.stats.rate_1m = 2.5;
-  obs::ScorecardClassReport row;
-  row.key = "c1|3,5";
-  row.display = "fork_2";
-  row.hits = 40;
-  row.under = 30;
-  row.over = 8;
-  row.qerror = {40, 4.0, 3.0, 8.0, 16.0, 20.0};
-  row.baseline_median = 1.5;
-  row.drifted = true;
-  row.worst.qerror = 20.0;
-  row.worst.line = "(a)-[3]->(b); (a)-[5]->(c)";
-  row.worst.estimate = 2000;
-  row.worst.truth = 100;
-  row.worst.estimator = "cs";
-  response.stats.scorecard.push_back(std::move(row));
-
-  util::serde::Writer v4ext;
-  v4ext.WriteRaw(std::string_view("\xff" "CG4", 4));
-  v4ext.WriteU8(1);
-  WriteGoldenSummary(v4ext, 0, 0, 0, 0, 0, 0);  // latency
-  WriteGoldenSummary(v4ext, 0, 0, 0, 0, 0, 0);  // batch_lines
-  WriteGoldenSummary(v4ext, 0, 0, 0, 0, 0, 0);  // fold_millis
-  v4ext.WriteU64(0);  // admitted_weight
-  v4ext.WriteU64(0);  // rejected_weight
-  v4ext.WriteU64(0);  // snapshot_loads
-  v4ext.WriteU8(0);   // server.present
-  for (int i = 0; i < 11; ++i) v4ext.WriteU64(0);  // server counters
-  v4ext.WriteU32(0);  // cache rows
-  v4ext.WriteU32(1);  // estimator summaries
-  WriteGoldenSummary(v4ext, 0, 0, 0, 0, 0, 0);
-  WriteGoldenSummary(v4ext, 0, 0, 0, 0, 0, 0);
-
-  util::serde::Writer v5ext;
-  v5ext.WriteRaw(std::string_view("\xff" "CG5", 4));
-  v5ext.WriteU8(1);    // ext version
-  v5ext.WriteU8(1);    // any_drift
-  v5ext.WriteU64(900);  // scorecard_window_seconds
-  WriteGoldenSummary(v5ext, 60, 11.0, 10.0, 18.0, 30.0, 55.0);
-  v5ext.WriteDouble(2.5);  // rate_1m
-  v5ext.WriteU32(1);       // class count
-  v5ext.WriteString("c1|3,5");
-  v5ext.WriteString("fork_2");
-  v5ext.WriteU64(40);  // hits
-  v5ext.WriteU64(30);  // under
-  v5ext.WriteU64(8);   // over
-  WriteGoldenSummary(v5ext, 40, 4.0, 3.0, 8.0, 16.0, 20.0);
-  v5ext.WriteDouble(1.5);  // baseline_median
-  v5ext.WriteU8(1);        // drifted
-  v5ext.WriteDouble(20.0);  // worst.qerror
-  v5ext.WriteString("(a)-[3]->(b); (a)-[5]->(c)");
-  v5ext.WriteDouble(2000);  // worst.estimate
-  v5ext.WriteDouble(100);   // worst.truth
-  v5ext.WriteString("cs");
+  response.text = page;
+  response.dataset = "alpha";
 
   util::serde::Writer w;
   w.WriteU8(0);       // status code OK
   w.WriteString("");  // status message
   w.WriteU8(4);       // kStats
-  WriteGoldenStatsBody(w);
-  w.WriteString(v4ext.TakeBuffer());  // v5 opt-in sends both extensions
-  w.WriteString(v5ext.TakeBuffer());
+  w.WriteString(page);
+  w.WriteString("alpha");  // v2 trailing dataset echo
   const std::string golden = w.TakeBuffer();
 
   EXPECT_EQ(EncodeResponse(response), golden);
   auto decoded = DecodeResponse(golden);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_TRUE(decoded->stats.v4_wire);
-  EXPECT_TRUE(decoded->stats.scorecard_wire);
   ExpectEqual(response, *decoded);
+  auto parsed = obs::ParsePrometheusText(decoded->text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(parsed->Value("cegraph_requests_served_total",
+                          {{"dataset", "alpha"}}),
+            100);
+}
+
+TEST(WireFuzzTest, RenderedPagesParseWithHostileLabels) {
+  // Whatever bytes the names carry, the rendered page parses and reads
+  // back the values and label text that went in.
+  Fuzz fuzz;
+  for (int i = 0; i < 200; ++i) {
+    const ServiceStats stats = RandomStats(fuzz);
+    auto page = obs::ParsePrometheusText(RenderPage(stats));
+    ASSERT_TRUE(page.ok()) << page.status() << " at iteration " << i;
+    const obs::ScorecardClassReport& row = stats.scorecard[0];
+    EXPECT_EQ(page->Value("cegraph_scorecard_hits_total",
+                          {{"class", row.display}, {"key", row.key}}),
+              static_cast<double>(row.hits));
+    const obs::PromSample* worst = page->Find(
+        "cegraph_scorecard_worst_qerror", {{"key", row.key}});
+    ASSERT_NE(worst, nullptr);
+    EXPECT_EQ(worst->Label("query"), row.worst.line);
+    auto latency = page->ReadHistogram(
+        "cegraph_estimator_latency_micros",
+        {{"estimator", stats.estimators[1].name}});
+    ASSERT_TRUE(latency.ok()) << latency.status();
+    EXPECT_EQ(latency->buckets, stats.estimators[1].latency.buckets);
+    EXPECT_EQ(latency->sum, stats.estimators[1].latency.sum);
+  }
+}
+
+TEST(WireFuzzTest, MutatedMetricsPagesNeverCrashParser) {
+  Fuzz fuzz;
+  size_t parsed_ok = 0;
+  for (int i = 0; i < 3000; ++i) {
+    const std::string page = Mutate(fuzz, RenderPage(RandomStats(fuzz)));
+    auto parsed = obs::ParsePrometheusText(page);  // must return
+    if (!parsed.ok()) continue;
+    ++parsed_ok;
+    // Histogram reconstruction validates what the parser let through.
+    for (const char* name :
+         {"cegraph_request_latency_micros", "cegraph_batch_lines",
+          "cegraph_estimator_qerror"}) {
+      (void)parsed->ReadHistogram(name);
+    }
+  }
+  EXPECT_GT(parsed_ok, 0u);
 }
 
 TEST(WireFuzzTest, UnknownTrailingExtensionsAreSkipped) {
@@ -981,62 +673,6 @@ TEST(WireFuzzTest, RequestRejectsDuplicateDatasetFields) {
   w.WriteString("alpha");
   w.WriteString("beta");
   auto decoded = DecodeRequest(w.TakeBuffer());
-  EXPECT_FALSE(decoded.ok());
-}
-
-TEST(WireFuzzTest, StatsExtToleratesTrailingBytesInsideExtString) {
-  // Bytes a future ext version appends inside the string must be ignored
-  // by this decoder (forward compatibility), unlike trailing frame bytes.
-  util::serde::Writer w;
-  w.WriteU8(0);
-  w.WriteString("");
-  w.WriteU8(4);
-  WriteGoldenStatsBody(w);
-  util::serde::Writer ext;
-  ext.WriteRaw(std::string_view("\xff" "CG4", 4));
-  ext.WriteU8(2);  // a future version...
-  WriteGoldenSummary(ext, 0, 0, 0, 0, 0, 0);
-  WriteGoldenSummary(ext, 0, 0, 0, 0, 0, 0);
-  WriteGoldenSummary(ext, 0, 0, 0, 0, 0, 0);
-  for (int i = 0; i < 3; ++i) ext.WriteU64(0);
-  ext.WriteU8(0);  // server absent (counters still follow, fixed layout)
-  for (int i = 0; i < 11; ++i) ext.WriteU64(0);
-  ext.WriteU32(0);  // caches
-  ext.WriteU32(1);  // estimator summaries
-  WriteGoldenSummary(ext, 0, 0, 0, 0, 0, 0);
-  WriteGoldenSummary(ext, 0, 0, 0, 0, 0, 0);
-  ext.WriteRaw("future-fields-go-here");  // ...with appended fields
-  w.WriteString(ext.TakeBuffer());
-  auto decoded = DecodeResponse(w.TakeBuffer());
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_TRUE(decoded->stats.v4_wire);
-  EXPECT_EQ(decoded->stats.served, 100u);
-}
-
-TEST(WireFuzzTest, StatsExtRejectsEstimatorCountMismatch) {
-  // The per-estimator summaries are index-aligned with the v3 list; an
-  // ext claiming a different count is a malformed frame, not a v3 reply.
-  Response response;
-  response.type = MessageType::kStats;
-  response.stats = GoldenStats();  // one estimator
-  util::serde::Writer w;
-  w.WriteU8(0);
-  w.WriteString("");
-  w.WriteU8(4);
-  WriteGoldenStatsBody(w);
-  util::serde::Writer ext;
-  ext.WriteRaw(std::string_view("\xff" "CG4", 4));
-  ext.WriteU8(1);
-  WriteGoldenSummary(ext, 0, 0, 0, 0, 0, 0);
-  WriteGoldenSummary(ext, 0, 0, 0, 0, 0, 0);
-  WriteGoldenSummary(ext, 0, 0, 0, 0, 0, 0);
-  for (int i = 0; i < 3; ++i) ext.WriteU64(0);
-  ext.WriteU8(0);
-  for (int i = 0; i < 11; ++i) ext.WriteU64(0);
-  ext.WriteU32(0);  // caches
-  ext.WriteU32(3);  // three summaries against one estimator
-  w.WriteString(ext.TakeBuffer());
-  auto decoded = DecodeResponse(w.TakeBuffer());
   EXPECT_FALSE(decoded.ok());
 }
 

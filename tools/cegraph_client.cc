@@ -6,29 +6,29 @@
 //                  [--batch-size B] [--quiet]
 //   cegraph_client --port P --apply-deltas FILE
 //   cegraph_client --port P --swap-snapshot PATH
-//   cegraph_client --port P (--stats | --scorecard | --corrections)
+//   cegraph_client --port P [--stats] [--scorecard] [--corrections]
 //                  [--watch] [--interval S]
 //   cegraph_client --port P (--ping | --shutdown)
 //
-// --stats requests the wire-v4 observability extension (the request's
-// text field carries "v4"): besides the v3 counters it prints latency /
-// batch-size / fold-duration quantiles, per-estimator latency and
-// q-error distributions, admission weight units, the server's shed /
-// backpressure / byte / frame counters and the serving state's cache
-// rows. Against a pre-v4 server the extra tables are simply absent.
-// --scorecard requests "v5" on top: the per-query-class accuracy
-// scorecard (windowed q-error quantiles, under/over split, drift
-// verdict vs the baseline stamped at the last snapshot load/hot swap)
-// with each class's worst exemplar, plus the recent (1m) request
-// latency and rate. --watch re-samples every --interval seconds
-// (default 2) and annotates counters with their delta since the
-// previous sample — "(reset)" marks a counter that went backwards
-// (server restart) — reconnecting through transport errors; stop with
-// ^C. --corrections also requests "v5" and prints the learned-feedback
-// loop's state (wire-v5 corrections extension): feedback mode,
-// applied/suppressed counters, trailing-minute pre- vs post-correction
-// q-error medians and the per-class correction table. Against a
-// feedback-unaware server the section is simply absent.
+// --stats, --scorecard and --corrections fetch the stats frame — since
+// wire v6 the Prometheus text page of the routed dataset's service and
+// of the server, the same series /metrics exports for them (see
+// docs/observability.md) — and print sections of it, each number read
+// by metric name; the flags combine. --stats prints the serving
+// counters, admission weight units, the server's shed / backpressure /
+// byte / frame counters, request latency / batch-size / fold-duration
+// quantiles, per-estimator latency and q-error distributions and the
+// serving state's cache rows. --scorecard prints the per-query-class
+// accuracy scorecard (windowed q-error quantiles, under/over split,
+// drift verdict vs the baseline stamped at the last snapshot load/hot
+// swap) with each class's worst exemplar, plus the recent (1m) request
+// latency and rate. --corrections prints the learned-feedback loop's
+// state: feedback mode, applied/suppressed counters, trailing-minute
+// pre- vs post-correction q-error medians and the per-class correction
+// table. --watch re-samples every --interval seconds (default 2) and
+// annotates each counter series with its delta since the previous
+// sample — "(reset)" marks a counter that went backwards (server
+// restart) — reconnecting through transport errors; stop with ^C.
 //
 // --request-id N stamps the wire-v5 end-to-end request id (decimal or
 // 0x-hex) on the request; the server echoes it and threads it through
@@ -75,6 +75,7 @@
 #include <vector>
 
 #include "harness/qerror.h"
+#include "obs/metrics.h"
 #include "query/workload_io.h"
 #include "service/wire.h"
 #include "util/table_printer.h"
@@ -97,7 +98,8 @@ int Usage() {
       "                 [--quiet]\n"
       "  --apply-deltas FILE           send a delta feed, hot-swap\n"
       "  --swap-snapshot PATH          server-local snapshot/manifest path\n"
-      "  --stats | --scorecard | --corrections  [--watch] [--interval S]\n"
+      "  [--stats] [--scorecard] [--corrections]  sections of the stats\n"
+      "                 page [--watch] [--interval S]\n"
       "  --ping | --shutdown\n"
       "  --request-id N                stamp an end-to-end request id\n");
   return 2;
@@ -105,17 +107,62 @@ int Usage() {
 
 std::string U64(uint64_t v) { return std::to_string(v); }
 
-/// "N (+D)" when a previous sample exists, plain "N" otherwise. A
-/// counter that went *backwards* (the server restarted between samples)
-/// is marked "(reset)" instead of faking a zero delta.
-std::string WithDelta(uint64_t now, const uint64_t* prev) {
-  if (prev == nullptr) return U64(now);
-  if (now < *prev) return U64(now) + " (reset)";
-  return U64(now) + " (+" + U64(now - *prev) + ")";
+/// A page value as a count: negative, NaN and out-of-range values (a
+/// page is untrusted input) read as 0.
+uint64_t AsCount(double v) {
+  return v >= 0 && v < 18446744073709551616.0 ? static_cast<uint64_t>(v)
+                                               : 0;
 }
 
+/// Which sections of the stats page to print (any combination).
+struct Sections {
+  bool stats = false;
+  bool scorecard = false;
+  bool corrections = false;
+};
+
+/// One stats sample, read by metric name, plus the previous --watch
+/// sample (may be null) that counters are diffed against.
+struct StatsPage {
+  const obs::PromPage& page;
+  const obs::PromPage* prev;
+
+  double Value(std::string_view name, const obs::PromMatch& match = {}) const {
+    return page.Value(name, match);
+  }
+  unsigned long long Count(std::string_view name,
+                           const obs::PromMatch& match = {}) const {
+    return AsCount(Value(name, match));
+  }
+  /// "N (+D)" against the previous sample's same series, plain "N" without
+  /// one. A counter that went *backwards* (the server restarted between
+  /// samples) is marked "(reset)" instead of faking a zero delta.
+  std::string Counter(std::string_view name,
+                      const obs::PromMatch& match = {}) const {
+    const uint64_t now = Count(name, match);
+    const obs::PromSample* before =
+        prev != nullptr ? prev->Find(name, match) : nullptr;
+    if (before == nullptr) return U64(now);
+    const uint64_t then = AsCount(before->value);
+    if (now < then) return U64(now) + " (reset)";
+    return U64(now) + " (+" + U64(now - then) + ")";
+  }
+  /// The summary the server's HistogramSnapshot::Summary() computes, from
+  /// the rebuilt histogram; zero when the page lacks the series.
+  obs::QuantileSummary Summary(std::string_view name,
+                               const obs::PromMatch& match = {}) const {
+    auto histogram = page.ReadHistogram(name, match);
+    if (histogram.ok()) return histogram->Summary();
+    if (histogram.status().code() != util::StatusCode::kNotFound) {
+      std::fprintf(stderr, "stats page: %s\n",
+                   histogram.status().ToString().c_str());
+    }
+    return {};
+  }
+};
+
 void AddSummaryRow(util::TablePrinter& table, const std::string& name,
-                   const cegraph::obs::QuantileSummary& s) {
+                   const obs::QuantileSummary& s) {
   table.AddRow({name, U64(s.count), util::TablePrinter::Num(s.mean),
                 util::TablePrinter::Num(s.p50),
                 util::TablePrinter::Num(s.p90),
@@ -123,202 +170,228 @@ void AddSummaryRow(util::TablePrinter& table, const std::string& name,
                 util::TablePrinter::Num(s.max)});
 }
 
-/// Prints one stats response; `prev` (the previous --watch sample, may be
-/// null) turns monotonic counters into "N (+delta)" annotations.
-void PrintStats(const Response& response, const service::ServiceStats* prev) {
-  const service::ServiceStats& s = response.stats;
-  if (!response.dataset.empty()) {
-    std::printf("dataset %s\n", response.dataset.c_str());
-  }
+/// The serving counters, server counters, distributions and cache rows.
+void PrintServing(const StatsPage& p) {
   std::printf(
       "served %s, rejected %s, request errors %s\n"
-      "epoch %llu (state v%llu), %llu swaps, %zu pending delta ops\n"
-      "replay log %zu ops (min replayable epoch %llu)\n"
-      "in flight %lld (peak %lld), mean latency %.1f us\n",
-      WithDelta(s.served, prev ? &prev->served : nullptr).c_str(),
-      WithDelta(s.rejected, prev ? &prev->rejected : nullptr).c_str(),
-      WithDelta(s.request_errors, prev ? &prev->request_errors : nullptr)
-          .c_str(),
-      static_cast<unsigned long long>(s.epoch),
-      static_cast<unsigned long long>(s.version),
-      static_cast<unsigned long long>(s.swaps), s.pending_delta_ops,
-      s.replay_log_ops,
-      static_cast<unsigned long long>(s.min_replayable_epoch),
-      static_cast<long long>(s.in_flight),
-      static_cast<long long>(s.peak_in_flight), s.mean_latency_micros);
-  for (const auto& e : s.estimators) {
+      "epoch %llu (state v%llu), %llu swaps, %llu pending delta ops\n"
+      "replay log %llu ops (min replayable epoch %llu)\n"
+      "in flight %.0f (peak %.0f), mean latency %.1f us\n",
+      p.Counter("cegraph_requests_served_total").c_str(),
+      p.Counter("cegraph_admission_rejected_total").c_str(),
+      p.Counter("cegraph_request_errors_total").c_str(),
+      p.Count("cegraph_serving_epoch"), p.Count("cegraph_serving_version"),
+      p.Count("cegraph_swaps_total"), p.Count("cegraph_pending_delta_ops"),
+      p.Count("cegraph_replay_log_ops"),
+      p.Count("cegraph_min_replayable_epoch"),
+      p.Value("cegraph_in_flight_weight"),
+      p.Value("cegraph_peak_in_flight_weight"),
+      p.Value("cegraph_request_mean_latency_micros"));
+  std::vector<std::string> estimators;
+  for (const obs::PromSample* sample :
+       p.page.Select("cegraph_estimator_requests_total")) {
+    estimators.emplace_back(sample->Label("estimator"));
+  }
+  for (const std::string& name : estimators) {
+    const obs::PromMatch e = {{"estimator", name}};
     std::printf("  %-14s %llu requests, %llu failures, %.1f us, mean "
                 "q-error %.3g\n",
-                e.name.c_str(),
-                static_cast<unsigned long long>(e.requests),
-                static_cast<unsigned long long>(e.failures), e.mean_micros,
-                e.mean_qerror);
+                name.c_str(), p.Count("cegraph_estimator_requests_total", e),
+                p.Count("cegraph_estimator_failures_total", e),
+                p.Value("cegraph_estimator_mean_micros", e),
+                p.Value("cegraph_estimator_mean_qerror", e));
   }
-  if (s.snapshot_load.loaded) {
+  if (p.Value("cegraph_snapshot_loaded") != 0) {
+    const bool mapped = p.Value("cegraph_snapshot_mapped") != 0;
     std::printf("snapshot load: %s, open %.2f ms, %s %.2f ms, "
                 "%llu bytes mapped, epoch %llu\n",
-                s.snapshot_load.mapped ? "mapped (arena)" : "parsed",
-                s.snapshot_load.map_millis,
-                s.snapshot_load.mapped ? "attach" : "apply",
-                s.snapshot_load.parse_millis,
-                static_cast<unsigned long long>(
-                    s.snapshot_load.mapped_bytes),
-                static_cast<unsigned long long>(
-                    s.snapshot_load.snapshot_epoch));
+                mapped ? "mapped (arena)" : "materialized",
+                p.Value("cegraph_snapshot_load_map_millis"),
+                mapped ? "attach" : "materialize",
+                p.Value("cegraph_snapshot_load_materialize_millis"),
+                p.Count("cegraph_snapshot_load_mapped_bytes"),
+                p.Count("cegraph_snapshot_epoch"));
   }
-  if (!s.v4_wire) return;  // pre-v4 server: nothing below travelled
-
   std::printf("weight units: admitted %s, rejected %s; snapshot loads %s\n",
-              WithDelta(s.admitted_weight,
-                        prev ? &prev->admitted_weight : nullptr)
-                  .c_str(),
-              WithDelta(s.rejected_weight,
-                        prev ? &prev->rejected_weight : nullptr)
-                  .c_str(),
-              WithDelta(s.snapshot_loads,
-                        prev ? &prev->snapshot_loads : nullptr)
-                  .c_str());
-  if (s.server.present) {
-    const auto& sv = s.server;
-    const service::ServiceStats::ServerCounters* pv =
-        prev != nullptr && prev->server.present ? &prev->server : nullptr;
+              p.Counter("cegraph_admitted_weight_units_total").c_str(),
+              p.Counter("cegraph_rejected_weight_units_total").c_str(),
+              p.Counter("cegraph_snapshot_loads_total").c_str());
+  if (p.page.Find("cegraph_server_connections_accepted_total") != nullptr) {
+    auto shed = [&p](const char* reason) {
+      return p.Counter("cegraph_server_shed_total", {{"reason", reason}});
+    };
+    auto frames = [&p](const char* type) {
+      return p.Counter("cegraph_server_frames_total", {{"type", type}});
+    };
     std::printf(
         "server: connections %s accepted, %llu active; backpressure %s\n"
         "  shed: admission %s, connection cap %s, pipeline cap %s, "
         "queue cap %s\n"
         "  bytes in %s out %s; frames estimate %s batch %s other %s\n",
-        WithDelta(sv.connections_accepted,
-                  pv ? &pv->connections_accepted : nullptr)
-            .c_str(),
-        static_cast<unsigned long long>(sv.connections_active),
-        WithDelta(sv.backpressure_events,
-                  pv ? &pv->backpressure_events : nullptr)
-            .c_str(),
-        WithDelta(s.rejected, prev ? &prev->rejected : nullptr).c_str(),
-        WithDelta(sv.shed_connection_cap,
-                  pv ? &pv->shed_connection_cap : nullptr)
-            .c_str(),
-        WithDelta(sv.shed_pipeline_cap,
-                  pv ? &pv->shed_pipeline_cap : nullptr)
-            .c_str(),
-        WithDelta(sv.shed_queue_cap, pv ? &pv->shed_queue_cap : nullptr)
-            .c_str(),
-        WithDelta(sv.bytes_in, pv ? &pv->bytes_in : nullptr).c_str(),
-        WithDelta(sv.bytes_out, pv ? &pv->bytes_out : nullptr).c_str(),
-        WithDelta(sv.frames_estimate, pv ? &pv->frames_estimate : nullptr)
-            .c_str(),
-        WithDelta(sv.frames_batch, pv ? &pv->frames_batch : nullptr)
-            .c_str(),
-        WithDelta(sv.frames_other, pv ? &pv->frames_other : nullptr)
-            .c_str());
+        p.Counter("cegraph_server_connections_accepted_total").c_str(),
+        p.Count("cegraph_server_connections_active"),
+        p.Counter("cegraph_server_backpressure_events_total").c_str(),
+        p.Counter("cegraph_admission_rejected_total").c_str(),
+        shed("connection_cap").c_str(), shed("pipeline_cap").c_str(),
+        shed("queue_cap").c_str(),
+        p.Counter("cegraph_server_bytes_in_total").c_str(),
+        p.Counter("cegraph_server_bytes_out_total").c_str(),
+        frames("estimate").c_str(), frames("batch").c_str(),
+        frames("other").c_str());
   }
 
   util::TablePrinter dist(
       {"distribution", "count", "mean", "p50", "p90", "p99", "max"});
-  AddSummaryRow(dist, "latency us", s.latency);
-  AddSummaryRow(dist, "batch lines", s.batch_lines);
-  AddSummaryRow(dist, "fold ms", s.fold_millis);
+  AddSummaryRow(dist, "latency us",
+                p.Summary("cegraph_request_latency_micros"));
+  AddSummaryRow(dist, "batch lines", p.Summary("cegraph_batch_lines"));
+  AddSummaryRow(dist, "fold ms", p.Summary("cegraph_fold_millis"));
   dist.Print(std::cout);
 
-  if (!s.estimators.empty()) {
+  if (!estimators.empty()) {
     util::TablePrinter est({"estimator", "lat p50", "lat p90", "lat p99",
                             "lat max", "qerr p50", "qerr p90", "qerr p99",
                             "qerr max"});
-    for (const auto& e : s.estimators) {
-      est.AddRow({e.name, util::TablePrinter::Num(e.latency.p50),
-                  util::TablePrinter::Num(e.latency.p90),
-                  util::TablePrinter::Num(e.latency.p99),
-                  util::TablePrinter::Num(e.latency.max),
-                  util::TablePrinter::Num(e.qerror.p50),
-                  util::TablePrinter::Num(e.qerror.p90),
-                  util::TablePrinter::Num(e.qerror.p99),
-                  util::TablePrinter::Num(e.qerror.max)});
+    for (const std::string& name : estimators) {
+      const obs::PromMatch e = {{"estimator", name}};
+      const obs::QuantileSummary latency =
+          p.Summary("cegraph_estimator_latency_micros", e);
+      const obs::QuantileSummary qerror =
+          p.Summary("cegraph_estimator_qerror", e);
+      est.AddRow({name, util::TablePrinter::Num(latency.p50),
+                  util::TablePrinter::Num(latency.p90),
+                  util::TablePrinter::Num(latency.p99),
+                  util::TablePrinter::Num(latency.max),
+                  util::TablePrinter::Num(qerror.p50),
+                  util::TablePrinter::Num(qerror.p90),
+                  util::TablePrinter::Num(qerror.p99),
+                  util::TablePrinter::Num(qerror.max)});
     }
     est.Print(std::cout);
   }
 
-  if (!s.caches.empty()) {
-    util::TablePrinter caches(
+  const auto caches = p.page.Select("cegraph_cache_entries");
+  if (!caches.empty()) {
+    util::TablePrinter table(
         {"cache", "entries", "hits", "misses", "evictions"});
-    for (const auto& c : s.caches) {
-      caches.AddRow({c.name, U64(c.entries), U64(c.hits), U64(c.misses),
-                     U64(c.evictions)});
+    for (const obs::PromSample* sample : caches) {
+      const std::string name(sample->Label("cache"));
+      const obs::PromMatch c = {{"cache", name}};
+      table.AddRow({name, U64(AsCount(sample->value)),
+                    U64(p.Count("cegraph_cache_hits_total", c)),
+                    U64(p.Count("cegraph_cache_misses_total", c)),
+                    U64(p.Count("cegraph_cache_evictions_total", c))});
     }
-    caches.Print(std::cout);
+    table.Print(std::cout);
   }
+}
 
-  if (!s.scorecard_wire) return;  // pre-v5 server / --stats: no scorecard
-
+/// The per-query-class accuracy scorecard and its worst exemplars.
+void PrintScorecard(const StatsPage& p) {
+  const obs::PromMatch one_minute = {{"window", "1m"}};
   std::printf(
-      "\nscorecard (window %llds): recent rate %.1f req/s, "
+      "\nscorecard (window %llus): recent rate %.1f req/s, "
       "latency p50 %.1f us p99 %.1f us (1m); drift: %s\n",
-      static_cast<long long>(s.scorecard_window_seconds), s.rate_1m,
-      s.latency_1m.p50, s.latency_1m.p99, s.any_drift ? "YES" : "none");
-  if (s.scorecard.empty()) {
+      p.Count("cegraph_scorecard_window_seconds"),
+      p.Value("cegraph_request_rate_per_sec", one_minute),
+      p.Value("cegraph_request_latency_recent_p50_micros", one_minute),
+      p.Value("cegraph_request_latency_recent_p99_micros", one_minute),
+      p.Value("cegraph_scorecard_drifted_classes") > 0 ? "YES" : "none");
+  const auto rows = p.page.Select("cegraph_scorecard_hits_total");
+  if (rows.empty()) {
     std::printf("no truth-carrying estimates in the window yet\n");
-  } else {
-    util::TablePrinter classes({"class", "hits", "under", "over", "qerr p50",
-                                "qerr p99", "qerr max", "baseline", "drift"});
-    for (const auto& c : s.scorecard) {
-      classes.AddRow(
-          {c.display, U64(c.hits), U64(c.under), U64(c.over),
-           util::TablePrinter::Num(c.qerror.p50),
-           util::TablePrinter::Num(c.qerror.p99),
-           util::TablePrinter::Num(c.qerror.max),
-           c.baseline_median > 0 ? util::TablePrinter::Num(c.baseline_median)
-                                 : "-",
-           c.drifted ? "YES" : "-"});
-    }
-    classes.Print(std::cout);
-    for (const auto& c : s.scorecard) {
-      if (c.worst.qerror <= 0) continue;
-      std::printf("  %s worst q-error %.3g (%s: estimate %.4g, truth %.4g): "
-                  "%s\n",
-                  c.display.c_str(), c.worst.qerror, c.worst.estimator.c_str(),
-                  c.worst.estimate, c.worst.truth, c.worst.line.c_str());
-    }
+    return;
   }
+  util::TablePrinter classes({"class", "hits", "under", "over", "qerr p50",
+                              "qerr p99", "qerr max", "baseline", "drift"});
+  for (const obs::PromSample* row : rows) {
+    const obs::PromMatch c = {{"class", row->Label("class")},
+                              {"key", row->Label("key")}};
+    const double baseline = p.Value("cegraph_scorecard_baseline_qerror_p50", c);
+    classes.AddRow(
+        {std::string(row->Label("class")), U64(AsCount(row->value)),
+         U64(p.Count("cegraph_scorecard_under_total", c)),
+         U64(p.Count("cegraph_scorecard_over_total", c)),
+         util::TablePrinter::Num(p.Value("cegraph_scorecard_qerror_p50", c)),
+         util::TablePrinter::Num(p.Value("cegraph_scorecard_qerror_p99", c)),
+         util::TablePrinter::Num(p.Value("cegraph_scorecard_qerror_max", c)),
+         baseline > 0 ? util::TablePrinter::Num(baseline) : "-",
+         p.Value("cegraph_scorecard_drifted", c) != 0 ? "YES" : "-"});
+  }
+  classes.Print(std::cout);
+  for (const obs::PromSample* row : rows) {
+    const obs::PromMatch c = {{"class", row->Label("class")},
+                              {"key", row->Label("key")}};
+    const obs::PromSample* worst =
+        p.page.Find("cegraph_scorecard_worst_qerror", c);
+    if (worst == nullptr || !(worst->value > 0)) continue;
+    std::printf("  %s worst q-error %.3g (%s: estimate %.4g, truth %.4g): "
+                "%s\n",
+                std::string(row->Label("class")).c_str(), worst->value,
+                std::string(worst->Label("estimator")).c_str(),
+                p.Value("cegraph_scorecard_worst_estimate", c),
+                p.Value("cegraph_scorecard_worst_truth", c),
+                std::string(worst->Label("query")).c_str());
+  }
+}
 
-  if (!s.corrections_wire) return;  // feedback-unaware server
-  const char* mode = s.feedback_mode == service::FeedbackMode::kOn ? "on"
-                     : s.feedback_mode == service::FeedbackMode::kFrozen
-                         ? "frozen"
-                         : "off";
+/// The learned-feedback loop's state and per-class corrections.
+void PrintCorrections(const StatsPage& p) {
+  const obs::PromSample* mode = p.page.Find("cegraph_feedback_mode");
   std::printf(
       "\ncorrections (feedback %s): %llu classes (%llu active, %s evicted), "
       "applied %s, suppressed %s\n"
       "q-error 1m: pre-correction p50 %.3g p99 %.3g, "
       "post-correction p50 %.3g p99 %.3g\n",
-      mode, static_cast<unsigned long long>(s.feedback_classes),
-      static_cast<unsigned long long>(s.feedback_active),
-      WithDelta(s.feedback_evictions,
-                prev ? &prev->feedback_evictions : nullptr)
-          .c_str(),
-      WithDelta(s.corrections_applied,
-                prev ? &prev->corrections_applied : nullptr)
-          .c_str(),
-      WithDelta(s.corrections_suppressed,
-                prev ? &prev->corrections_suppressed : nullptr)
-          .c_str(),
-      s.qerror_raw_1m.p50, s.qerror_raw_1m.p99, s.qerror_corrected_1m.p50,
-      s.qerror_corrected_1m.p99);
-  if (s.corrections.empty()) {
+      mode != nullptr ? std::string(mode->Label("mode")).c_str() : "off",
+      p.Count("cegraph_feedback_classes"),
+      p.Count("cegraph_feedback_active_classes"),
+      p.Counter("cegraph_feedback_evictions_total").c_str(),
+      p.Counter("cegraph_corrections_applied_total").c_str(),
+      p.Counter("cegraph_corrections_suppressed_total").c_str(),
+      p.Value("cegraph_qerror_precorrection_p50"),
+      p.Value("cegraph_qerror_precorrection_p99"),
+      p.Value("cegraph_qerror_postcorrection_p50"),
+      p.Value("cegraph_qerror_postcorrection_p99"));
+  const auto rows = p.page.Select("cegraph_correction_factor");
+  if (rows.empty()) {
     std::printf("no correction classes learned yet\n");
     return;
   }
   util::TablePrinter table(
       {"class", "estimator", "hits", "samples", "correction", "active"});
-  for (const auto& c : s.corrections) {
+  for (const obs::PromSample* row : rows) {
+    const std::string key(row->Label("key"));
+    const obs::PromMatch c = {{"class", row->Label("class")}, {"key", key}};
     // The class key is "estimator|template|labels"; keep the estimator
     // column separate so one query class's rows group visually.
-    const std::string::size_type bar = c.key.find('|');
-    table.AddRow({c.display,
-                  bar == std::string::npos ? c.key : c.key.substr(0, bar),
-                  U64(c.hits), U64(c.samples),
-                  util::TablePrinter::Num(c.correction),
-                  c.active ? "YES" : "-"});
+    table.AddRow({std::string(row->Label("class")),
+                  key.substr(0, key.find('|')),
+                  U64(p.Count("cegraph_correction_hits_total", c)),
+                  U64(p.Count("cegraph_correction_samples", c)),
+                  util::TablePrinter::Num(row->value),
+                  p.Value("cegraph_correction_active", c) != 0 ? "YES"
+                                                                : "-"});
   }
   table.Print(std::cout);
+}
+
+/// Parses one stats reply and prints the chosen sections; `prev` (the
+/// previous --watch sample, may be null) turns counters into "N (+delta)"
+/// annotations. A malformed page is an error, not an empty table.
+util::StatusOr<obs::PromPage> PrintStats(const Response& response,
+                                         const obs::PromPage* prev,
+                                         const Sections& show) {
+  auto page = obs::ParsePrometheusText(response.text);
+  if (!page.ok()) return page.status();
+  if (!response.dataset.empty()) {
+    std::printf("dataset %s\n", response.dataset.c_str());
+  }
+  const StatsPage p{*page, prev};
+  if (show.stats) PrintServing(p);
+  if (show.scorecard) PrintScorecard(p);
+  if (show.corrections) PrintCorrections(p);
+  return page;
 }
 
 /// Per-attempt retry pause: exponential from 1 ms, clamped to a 2 s
@@ -603,8 +676,8 @@ int main(int argc, char** argv) {
   std::string dataset;
   std::vector<std::string> query_texts;
   std::string workload_file, deltas_file, snapshot_path;
-  bool stats = false, ping = false, shutdown = false, quiet = false;
-  bool watch = false, scorecard = false, corrections = false;
+  bool ping = false, shutdown = false, quiet = false, watch = false;
+  Sections show;
   int threads = 1, passes = 1, batch_size = 1, retries = 3, interval = 2;
   uint64_t request_id = 0;
 
@@ -648,11 +721,11 @@ int main(int argc, char** argv) {
       if (!next(&value)) return Usage();
       retries = std::atoi(value.c_str());
     } else if (arg == "--stats") {
-      stats = true;
+      show.stats = true;
     } else if (arg == "--scorecard") {
-      scorecard = true;
+      show.scorecard = true;
     } else if (arg == "--corrections") {
-      corrections = true;
+      show.corrections = true;
     } else if (arg == "--request-id") {
       if (!next(&value)) return Usage();
       request_id = std::strtoull(value.c_str(), nullptr, 0);
@@ -699,15 +772,9 @@ int main(int argc, char** argv) {
     request = {MessageType::kApplyDeltas, text.str(), dataset};
   } else if (!snapshot_path.empty()) {
     request = {MessageType::kSwapSnapshot, snapshot_path, dataset};
-  } else if (scorecard || corrections) {
-    // "v5" opts into the v4 observability extension *and* the per-class
-    // accuracy scorecard *and* the corrections extension; a pre-v5
-    // server just echoes a v3 stats body.
-    request = {MessageType::kStats, "v5", dataset};
-  } else if (stats) {
-    // "v4" opts into the observability extension; a pre-v4 server just
-    // echoes a v3 stats body and the extra tables stay absent.
-    request = {MessageType::kStats, "v4", dataset};
+  } else if (show.stats || show.scorecard || show.corrections) {
+    // One page carries every section; the flags only choose what prints.
+    request = {MessageType::kStats, "", dataset};
   } else if (ping) {
     // A dataset-qualified ping doubles as a routing probe: the server
     // validates the name without touching the service.
@@ -720,14 +787,14 @@ int main(int argc, char** argv) {
   }
   request.request_id = request_id;
 
-  if ((stats || scorecard || corrections) && watch) {
+  if (request.type == MessageType::kStats && watch) {
     // Re-sample forever (until ^C), annotating monotonic counters with
     // their delta since the previous sample. Each sample is its own
     // connection, so a restarted server only costs failed samples, not
     // the watch: transport errors are reported and retried on the same
     // cadence, and the delta baseline is dropped — the first sample
     // after a reconnect prints plain counters (or "(reset)" markers).
-    service::ServiceStats prev;
+    obs::PromPage prev;
     bool have_prev = false;
     for (int sample = 0;; ++sample) {
       auto pause = [interval] {
@@ -752,9 +819,14 @@ int main(int argc, char** argv) {
       }
       std::printf("%s--- sample %d (every %ds) ---\n",
                   sample == 0 ? "" : "\n", sample, interval);
-      PrintStats(*response, have_prev ? &prev : nullptr);
+      auto page = PrintStats(*response, have_prev ? &prev : nullptr, show);
+      if (!page.ok()) {
+        std::fprintf(stderr, "stats page: %s\n",
+                     page.status().ToString().c_str());
+        return 1;
+      }
       std::fflush(stdout);
-      prev = response->stats;
+      prev = std::move(*page);
       have_prev = true;
       pause();
     }
@@ -817,7 +889,11 @@ int main(int argc, char** argv) {
       break;
     }
     case MessageType::kStats:
-      PrintStats(*response, nullptr);
+      if (auto page = PrintStats(*response, nullptr, show); !page.ok()) {
+        std::fprintf(stderr, "stats page: %s\n",
+                     page.status().ToString().c_str());
+        return 1;
+      }
       break;
     case MessageType::kPing:
     case MessageType::kShutdown:

@@ -372,10 +372,10 @@ int main(int argc, char** argv) {
     if (!stats.snapshot_load.loaded) continue;
     std::printf("%s: snapshot %s %s: open %.2f ms, %s %.2f ms, epoch %llu",
                 name.c_str(), path.c_str(),
-                stats.snapshot_load.mapped ? "mapped" : "parsed",
+                stats.snapshot_load.mapped ? "mapped" : "materialized",
                 stats.snapshot_load.map_millis,
-                stats.snapshot_load.mapped ? "attach" : "apply",
-                stats.snapshot_load.parse_millis,
+                stats.snapshot_load.mapped ? "attach" : "materialize",
+                stats.snapshot_load.materialize_millis,
                 static_cast<unsigned long long>(
                     stats.snapshot_load.snapshot_epoch));
     if (stats.snapshot_load.mapped_bytes > 0) {
